@@ -7,7 +7,6 @@ Subcommands: gen, train, margins, risk, lemmas, sweep.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -22,11 +21,11 @@ from .data import (
     save_dataset_csv,
 )
 from .experiments import config_from_mapping, load_config_file, run_figure
-from .lemmas import LEMMA_IDS, run_seed_batch
+from .lemmas import LEMMA_IDS, run_seed_batch, save_reports_csv
 from .margins import adversarial_margin, standard_margin
 from .norms import PerturbationModel
 from .risk import analytic_risk, monte_carlo_risk
-from .training import STEP_MODES, TrainConfig, save_record_csv, train
+from .training import STEP_MODES, TrainConfig, save_record_csv, summed_step, train
 
 __all__ = ["cli_main", "main"]
 
@@ -91,7 +90,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seeds", type=int, default=10)
     sp.add_argument("--T", type=int, default=2000)
     sp.add_argument("--alpha", type=float, default=1e-3,
-                    help="trainer step size on the summed loss (constant mode)")
+                    help="step size on the sample-averaged loss (constant mode)")
     sp.add_argument("--step-mode", choices=STEP_MODES, default="scheduled")
     sp.add_argument("--G", type=float, default=10.0)
     sp.add_argument("--record-every", type=int, default=10)
@@ -107,14 +106,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    spec = MixtureSpec(
-        d=args.d,
-        mu=mu_from_scaling(args.d, args.r),
-        noise_dist=args.noise,
-        eta=args.eta,
-        seed=args.seed,
+def _spec(args, d: int | None = None) -> MixtureSpec:
+    """The mixture named by --d (or d), --r, --eta, --noise and --seed."""
+    d = args.d if d is None else d
+    return MixtureSpec(
+        d=d, mu=mu_from_scaling(d, args.r), noise_dist=args.noise, eta=args.eta, seed=args.seed
     )
+
+
+def _train_config(args, model: PerturbationModel) -> TrainConfig:
+    """The trainer config of train and lemmas; --alpha is on the averaged loss."""
+    return TrainConfig(
+        model=model,
+        step_mode=args.step_mode,
+        alpha=summed_step(args.alpha, args.n),
+        G=args.G,
+        T=args.T,
+        record_every=args.record_every,
+    )
+
+
+def _cmd_gen(args) -> int:
+    spec = _spec(args)
     ds = generate(spec, args.n)
     save_dataset_csv(ds, args.out)
     print(
@@ -126,25 +139,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     model = PerturbationModel(p=args.p, epsilon=args.eps)
-    spec = MixtureSpec(
-        d=args.d,
-        mu=mu_from_scaling(args.d, args.r),
-        noise_dist=args.noise,
-        eta=args.eta,
-        seed=args.seed,
-    )
+    spec = _spec(args)
     ds = generate(spec, args.n)
-    # --alpha follows the averaged-loss convention; the trainer sums
-    alpha = args.alpha / args.n if args.step_mode == "constant" else args.alpha
-    cfg = TrainConfig(
-        model=model,
-        step_mode=args.step_mode,
-        alpha=alpha,
-        G=args.G,
-        T=args.T,
-        record_every=args.record_every,
-    )
-    rec = train(ds, cfg)
+    rec = train(ds, _train_config(args, model))
     theta = rec.final_theta()
     line = (
         f"T={rec.T} loss={rec.losses[-1]:.6g} log_loss={rec.log_losses[-1]:.6g}"
@@ -167,14 +164,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_margins(args) -> int:
     model = PerturbationModel(p=args.p, epsilon=args.eps)
-    spec = MixtureSpec(
-        d=args.d,
-        mu=mu_from_scaling(args.d, args.r),
-        noise_dist=args.noise,
-        eta=args.eta,
-        seed=args.seed,
-    )
-    ds = generate(spec, args.n)
+    ds = generate(_spec(args), args.n)
     std = standard_margin(ds, model.q, max_iter=args.max_iter)
     adv = adversarial_margin(ds, model, max_iter=args.max_iter)
     rep = check_assumptions(ds, model)
@@ -188,15 +178,8 @@ def _cmd_margins(args) -> int:
 
 def _cmd_risk(args) -> int:
     theta = np.loadtxt(args.theta, ndmin=1)
-    d = theta.shape[0]
     model = PerturbationModel(p=args.p, epsilon=args.eps)
-    spec = MixtureSpec(
-        d=d,
-        mu=mu_from_scaling(d, args.r),
-        noise_dist=args.noise,
-        eta=args.eta,
-        seed=args.seed,
-    )
+    spec = _spec(args, d=theta.shape[0])
     if args.mc > 0:
         rep = monte_carlo_risk(theta, spec, model, m=args.mc, seed=args.seed)
         print(
@@ -211,21 +194,13 @@ def _cmd_risk(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     model = PerturbationModel(p=args.p, epsilon=args.eps)
-    cfg = TrainConfig(
-        model=model,
-        step_mode=args.step_mode,
-        alpha=args.alpha,
-        G=args.G,
-        T=args.T,
-        record_every=args.record_every,
-    )
     result = run_seed_batch(
         n=args.n,
         d=args.d,
         r=args.r,
         eta=args.eta,
         model=model,
-        cfg=cfg,
+        cfg=_train_config(args, model),
         noise_dist=args.noise,
         seeds=args.seeds,
         base_seed=args.seed,
@@ -235,8 +210,6 @@ def _cmd_lemmas(args) -> int:
     required = result.seeds - 1 if result.seeds > 1 else 1
     print(f"overall: {'PASS' if result.passing(required) else 'FAIL'} (>= {required} required)")
     if args.out:
-        from .lemmas import save_reports_csv
-
         save_reports_csv(result.reports[0], args.out)
         print(f"wrote {args.out}")
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "check_assumptions",
     "save_dataset_csv",
     "load_dataset_csv",
+    "write_csv",
 ]
 
 NOISE_DISTS = ("gaussian", "rademacher", "uniform_pm")
@@ -255,3 +256,16 @@ def load_dataset_csv(path: str, spec: Optional[MixtureSpec] = None) -> Dataset:
         noise_indices=np.nonzero(labels_arr != clean_arr)[0],
         spec=spec,
     )
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Comma-joined rows under a header; floats as ``repr`` (round-trip), else ``str``.
+
+    numpy float64 values count as floats and are written as plain numbers.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+            )

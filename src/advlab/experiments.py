@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -26,10 +27,12 @@ import numpy as np
 
 from .data import (
     STREAM_LINEAR_INIT,
+    Dataset,
     MixtureSpec,
     generate,
     keyed_rng,
     mu_from_scaling,
+    write_csv,
 )
 from .margins import adversarial_margin, standard_margin
 from .network import (
@@ -43,7 +46,7 @@ from .risk import _draw_test_block, analytic_risk, empirical_risks
 from scipy.special import ndtr
 
 from .svgplot import Series, write_line_plot
-from .training import TrainConfig, train
+from .training import TrainConfig, summed_step, train
 
 __all__ = [
     "FIGURE_IDS",
@@ -54,11 +57,6 @@ __all__ = [
 ]
 
 FIGURE_IDS = ("risk_vs_d", "adv_risk_vs_t", "nn_risk_vs_d", "custom")
-
-RAW_COLUMNS = (
-    "seed,d,n,eta,p,epsilon,r,t,train_err,adv_train_err,std_risk,adv_risk,"
-    "risk_method,loss,alignment,theta_l2,margin_std,margin_adv"
-)
 
 _AGG_METRICS = (
     "train_err",
@@ -85,7 +83,7 @@ class ExperimentConfig:
 
     ``alpha`` is the step size on the sample-averaged loss, the convention
     of the experimental protocol; the trainer itself steps on the summed
-    loss, so constant-step runs use alpha/n internally.  (Summed-loss steps
+    loss, so runs pass it through ``training.summed_step``.  (Summed-loss steps
     of 1e-3 overflow the exponential weights within two iterations once
     d**(2r) * n * alpha is large, e.g. d=1000, r=0.4.)
     """
@@ -167,15 +165,8 @@ class SweepRow:
     margin_std: float
     margin_adv: float
 
-    def to_csv(self) -> str:
-        vals = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float):
-                vals.append(repr(v))
-            else:
-                vals.append(str(v))
-        return ",".join(vals)
+
+RAW_COLUMNS = ",".join(f.name for f in fields(SweepRow))
 
 
 def _parse_value(raw: str):
@@ -246,19 +237,38 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**coerced)
 
 
-def _linear_rows(
+def _run_setup(
     cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int
-) -> list[SweepRow]:
+) -> tuple[PerturbationModel, MixtureSpec, Dataset, dict]:
+    """Model, spec and dataset of one (grid point, seed) run.
+
+    Also returns the SweepRow fields that every row of the run shares: the
+    grid keys and the margins.
+    """
     model = PerturbationModel(p=cfg.p, epsilon=eps)
     spec = MixtureSpec(
         d=d, mu=mu_from_scaling(d, r), noise_dist=cfg.noise_dist, eta=cfg.eta, seed=seed
     )
     ds = generate(spec, cfg.n)
-    alpha = cfg.alpha / cfg.n if cfg.step_mode == "constant" else cfg.alpha
+    m_std = m_adv = math.nan
+    if cfg.margins:
+        m_std = standard_margin(ds, model.q, max_iter=cfg.margin_iters).value
+        m_adv = adversarial_margin(ds, model, max_iter=cfg.margin_iters).value
+    shared = dict(
+        seed=seed, d=d, n=cfg.n, eta=cfg.eta, p=cfg.p, epsilon=eps, r=r,
+        margin_std=m_std, margin_adv=m_adv,
+    )
+    return model, spec, ds, shared
+
+
+def _linear_rows(
+    cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int
+) -> list[SweepRow]:
+    model, spec, ds, shared = _run_setup(cfg, d, r, eps, seed)
     tc = TrainConfig(
         model=model,
         step_mode=cfg.step_mode,
-        alpha=alpha,
+        alpha=summed_step(cfg.alpha, cfg.n),
         G=cfg.G,
         T=cfg.T,
         record_every=cfg.record_every,
@@ -268,11 +278,6 @@ def _linear_rows(
         rng = keyed_rng(seed, STREAM_LINEAR_INIT)
         theta0 = rng.standard_normal(d) / math.sqrt(d)
     rec = train(ds, tc, theta0=theta0)
-
-    m_std = m_adv = math.nan
-    if cfg.margins:
-        m_std = standard_margin(ds, model.q, max_iter=cfg.margin_iters).value
-        m_adv = adversarial_margin(ds, model, max_iter=cfg.margin_iters).value
 
     if cfg.eval == "monte_carlo":
         test_feats, test_labels, _ = _draw_test_block(spec, cfg.mc_samples, seed)
@@ -291,13 +296,7 @@ def _linear_rows(
             method = "monte_carlo"
         rows.append(
             SweepRow(
-                seed=seed,
-                d=d,
-                n=cfg.n,
-                eta=cfg.eta,
-                p=cfg.p,
-                epsilon=eps,
-                r=r,
+                **shared,
                 t=t,
                 train_err=float(rec.train_errors[i]),
                 adv_train_err=float(rec.adv_train_errors[i]),
@@ -307,8 +306,6 @@ def _linear_rows(
                 loss=float(rec.losses[t]),
                 alignment=float(rec.alignments[t]),
                 theta_l2=float(rec.theta_l2[t]),
-                margin_std=m_std,
-                margin_adv=m_adv,
             )
         )
     return rows
@@ -317,32 +314,15 @@ def _linear_rows(
 def _nn_rows(
     cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int
 ) -> list[SweepRow]:
-    model = PerturbationModel(p=cfg.p, epsilon=eps)
-    spec = MixtureSpec(
-        d=d, mu=mu_from_scaling(d, r), noise_dist=cfg.noise_dist, eta=cfg.eta, seed=seed
-    )
-    ds = generate(spec, cfg.n)
+    model, spec, ds, shared = _run_setup(cfg, d, r, eps, seed)
     pgd = PgdConfig(model=model, steps=cfg.pgd_steps)
     net0 = init_network(d, h=cfg.h, seed=seed)
-    # lr follows the same averaged-loss convention as alpha
-    net, log = adv_train_nn(ds, net0, pgd, epochs=cfg.epochs, lr=cfg.lr / cfg.n)
+    net, log = adv_train_nn(ds, net0, pgd, epochs=cfg.epochs, lr=summed_step(cfg.lr, cfg.n))
     rep = evaluate_nn_risks(net, spec, pgd, m=cfg.mc_samples, seed=seed)
-
-    m_std = m_adv = math.nan
-    if cfg.margins:
-        m_std = standard_margin(ds, model.q, max_iter=cfg.margin_iters).value
-        m_adv = adversarial_margin(ds, model, max_iter=cfg.margin_iters).value
-
     t = log.epochs
     return [
         SweepRow(
-            seed=seed,
-            d=d,
-            n=cfg.n,
-            eta=cfg.eta,
-            p=cfg.p,
-            epsilon=eps,
-            r=r,
+            **shared,
             t=t,
             train_err=float(log.train_errors[t]),
             adv_train_err=float(log.adv_train_errors[t]),
@@ -352,8 +332,6 @@ def _nn_rows(
             loss=float(log.losses[t]),
             alignment=math.nan,
             theta_l2=float(log.param_l2[t]),
-            margin_std=m_std,
-            margin_adv=m_adv,
         )
     ]
 
@@ -403,28 +381,6 @@ def _aggregate(rows: list[SweepRow], gaussian: bool = True) -> list[dict]:
     return out
 
 
-def _write_raw(rows: list[SweepRow], path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(RAW_COLUMNS + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
-
-
-def _write_agg(agg: list[dict], path: Path) -> None:
-    if not agg:
-        raise ValueError("no rows to aggregate")
-    cols = list(agg[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in agg:
-            fh.write(
-                ",".join(
-                    repr(v) if isinstance(v, float) else str(v) for v in (rec[c] for c in cols)
-                )
-                + "\n"
-            )
-
-
 def _final_t(agg: list[dict]) -> int:
     return max(rec["t"] for rec in agg)
 
@@ -470,9 +426,12 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
 
     raw_path = outdir / f"{cfg.prefix}_raw.csv"
     agg_path = outdir / f"{cfg.prefix}_agg.csv"
-    _write_raw(rows, raw_path)
+    columns = RAW_COLUMNS.split(",")
+    write_csv(str(raw_path), columns, map(attrgetter(*columns), rows))
     agg = _aggregate(rows, gaussian=cfg.noise_dist == "gaussian")
-    _write_agg(agg, agg_path)
+    if not agg:
+        raise ValueError("no rows to aggregate")
+    write_csv(str(agg_path), list(agg[0]), (rec.values() for rec in agg))
     written = {"raw": str(raw_path), "agg": str(agg_path)}
 
     if not svg:

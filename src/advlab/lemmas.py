@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, MixtureSpec, generate, mu_from_scaling
+from .data import Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
 from .margins import adversarial_margin
 from .norms import PerturbationModel, dual_exponent, lp_norm, norm_subgradient
 from .training import TrainConfig, TrainRecord, train
@@ -354,12 +354,12 @@ def format_reports(reports: list[LemmaReport]) -> str:
 
 def save_reports_csv(reports: list[LemmaReport], path: str) -> None:
     """One row per measured constant: lemma_id,passed,constant_name,constant_value,worst_iteration."""
-    with open(path, "w") as fh:
-        fh.write("lemma_id,passed,constant_name,constant_value,worst_iteration\n")
-        for rep in reports:
-            items = rep.measured_constants.items() or [("-", math.nan)]
-            for name, val in items:
-                fh.write(
-                    f"{rep.lemma_id},{str(rep.passed).lower()},{name},"
-                    f"{repr(float(val))},{rep.worst_iteration}\n"
-                )
+    write_csv(
+        path,
+        ("lemma_id", "passed", "constant_name", "constant_value", "worst_iteration"),
+        (
+            (rep.lemma_id, str(rep.passed).lower(), name, float(val), rep.worst_iteration)
+            for rep in reports
+            for name, val in rep.measured_constants.items() or [("-", math.nan)]
+        ),
+    )

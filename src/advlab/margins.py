@@ -14,9 +14,8 @@ certificate_gap is that upper bound minus the returned value and therefore
 bounds the suboptimality whenever the optimum is nonnegative.
 
 Non-separable inputs return the negative optimum of the sphere-constrained
-problem, located by the same ascent plus (in two dimensions) a coarse grid
-of starting directions; the certificate is loose there and the gap simply
-reports it.
+problem, located by the same ascent (in two dimensions, by a zoomed grid of
+directions); the certificate is loose there and the gap simply reports it.
 """
 
 from __future__ import annotations
@@ -146,31 +145,12 @@ def _solve(
         direction[0] = 1.0
         return MarginResult(direction=direction, value=0.0, iterations=0, certificate_gap=0.0)
 
-    starts = []
-    mean_start = _normalize(z.sum(axis=0), sphere_q)
-    if mean_start is not None:
-        starts.append(mean_start)
-    if d == 2:
-        # coarse global scan: cheap insurance against local maxima of the
-        # sphere-constrained problem when the optimum is negative
-        phis = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-        dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        vals = (z @ dirs.T).min(axis=0)
-        if eps > 0.0 or sphere_q != 2.0:
-            norm_pen = np.array(
-                [lp_norm(dirs[i], pen_q if eps > 0.0 else sphere_q) for i in range(len(dirs))]
-            )
-            if eps > 0.0:
-                vals = vals - eps * norm_pen
-            else:
-                vals = (z @ dirs.T).min(axis=0) / norm_pen
-                dirs = dirs / norm_pen[:, None]
-        starts.append(dirs[int(np.argmax(vals))])
-    if not starts:
-        starts.append(_normalize(np.ones(d), sphere_q))
+    start = _normalize(z.sum(axis=0), sphere_q)
+    if start is None:
+        start = _normalize(np.ones(d), sphere_q)
 
     best_val = -math.inf
-    best_theta = starts[0]
+    best_theta = start
     total_iters = 0
     best_upper = math.inf
     gap = math.inf
@@ -258,16 +238,10 @@ def _solve(
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
     else:
         ball_first = eps == 0.0  # homogeneous: ball and sphere optima agree when positive
-        for theta0 in starts:
-            _ascend(theta0, on_ball=ball_first)
-            if gap <= gap_tol:
-                break
+        _ascend(start, on_ball=ball_first)
         if ball_first and best_val <= 0.0 and gap > gap_tol:
             # non-separable: the sphere optimum is negative and off the ball path
-            for theta0 in starts:
-                _ascend(theta0, on_ball=False)
-                if gap <= gap_tol:
-                    break
+            _ascend(start, on_ball=False)
 
     direction = _normalize(best_theta, sphere_q)
     assert direction is not None

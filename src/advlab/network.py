@@ -49,7 +49,6 @@ __all__ = [
     "pgd_attack",
     "adv_train_nn",
     "evaluate_nn_risks",
-    "save_net_log_csv",
 ]
 
 
@@ -347,39 +346,4 @@ def evaluate_nn_risks(
     std = float(np.mean(labels * forward(net, feats) < 0.0))
     attacked = _pgd_attack_batch(net, feats, labels, pgd)
     adv = float(np.mean(labels * forward(net, attacked) < 0.0))
-    se = max(
-        math.sqrt(std * (1.0 - std) / m),
-        math.sqrt(adv * (1.0 - adv) / m),
-    )
-    return RiskReport(
-        std_risk=std, adv_risk=adv, method="monte_carlo", mc_samples=m, mc_stderr=se
-    )
-
-
-def save_net_log_csv(log: NetTrainLog, path: str, record_every: int = 1) -> None:
-    """Same schema as the linear trainer's record plus the width column h."""
-    cols = "t,loss,log_loss,theta_l2,theta_q,alignment,train_err,adv_train_err,h"
-    with open(path, "w") as fh:
-        fh.write(cols + "\n")
-        for t in range(log.epochs + 1):
-            if t % record_every and t != log.epochs:
-                continue
-            fh.write(
-                ",".join(
-                    [str(t)]
-                    + [
-                        repr(float(v))
-                        for v in (
-                            log.losses[t],
-                            log.log_losses[t],
-                            log.param_l2[t],
-                            log.param_lq[t],
-                            math.nan,
-                            log.train_errors[t],
-                            log.adv_train_errors[t],
-                        )
-                    ]
-                    + [str(log.h)]
-                )
-                + "\n"
-            )
+    return RiskReport.monte_carlo(std, adv, m)

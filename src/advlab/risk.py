@@ -56,6 +56,12 @@ class RiskReport:
     mc_samples: int = 0
     mc_stderr: float = 0.0
 
+    @classmethod
+    def monte_carlo(cls, std: float, adv: float, m: int) -> RiskReport:
+        """Report of risks measured on m samples, with their binomial error."""
+        se = max(math.sqrt(std * (1.0 - std) / m), math.sqrt(adv * (1.0 - adv) / m))
+        return cls(std_risk=std, adv_risk=adv, method="monte_carlo", mc_samples=m, mc_stderr=se)
+
 
 def misclassified_adversarially(
     theta: np.ndarray, x: np.ndarray, y: int, model: PerturbationModel
@@ -131,10 +137,4 @@ def monte_carlo_risk(
     eval_seed = spec.seed if seed is None else seed
     feats, labels, _ = _draw_test_block(spec, m, eval_seed)
     std, adv = empirical_risks(np.asarray(theta, dtype=float), feats, labels, model)
-    se = max(
-        math.sqrt(std * (1.0 - std) / m),
-        math.sqrt(adv * (1.0 - adv) / m),
-    )
-    return RiskReport(
-        std_risk=std, adv_risk=adv, method="monte_carlo", mc_samples=m, mc_stderr=se
-    )
+    return RiskReport.monte_carlo(std, adv, m)

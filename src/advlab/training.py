@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
+from .data import write_csv
 from .margins import adversarial_margin
 from .norms import PerturbationModel, lp_norm, norm_subgradient
 
@@ -43,6 +44,7 @@ __all__ = [
     "adversarial_log_loss",
     "adversarial_loss_gradient",
     "alignment",
+    "summed_step",
     "train",
     "save_record_csv",
 ]
@@ -75,6 +77,18 @@ class TrainConfig:
             raise ValueError("alpha and G must be positive")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+
+def summed_step(alpha: float, n: int) -> float:
+    """The summed-loss step equal to step alpha on the sample-averaged loss.
+
+    The CLI and sweep configs quote alpha (and the network lr) on the
+    averaged loss; the trainer steps on the summed loss.  Under "scheduled"
+    the trainer ignores alpha, so the conversion changes nothing there.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return alpha / n
 
 
 class TrainingDiverged(RuntimeError):
@@ -325,25 +339,12 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
 
 def save_record_csv(rec: TrainRecord, path: str) -> None:
     """One row per snapshot: t,loss,log_loss,theta_l2,theta_q,alignment,train_err,adv_train_err."""
-    cols = "t,loss,log_loss,theta_l2,theta_q,alignment,train_err,adv_train_err"
-    with open(path, "w") as fh:
-        fh.write(cols + "\n")
-        for i, t in enumerate(rec.snapshot_ts):
-            fh.write(
-                ",".join(
-                    [str(t)]
-                    + [
-                        repr(float(v))
-                        for v in (
-                            rec.losses[t],
-                            rec.log_losses[t],
-                            rec.theta_l2[t],
-                            rec.theta_q[t],
-                            rec.alignments[t],
-                            rec.train_errors[i],
-                            rec.adv_train_errors[i],
-                        )
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(
+        path,
+        ("t", "loss", "log_loss", "theta_l2", "theta_q", "alignment", "train_err", "adv_train_err"),
+        (
+            (t, rec.losses[t], rec.log_losses[t], rec.theta_l2[t], rec.theta_q[t],
+             rec.alignments[t], rec.train_errors[i], rec.adv_train_errors[i])
+            for i, t in enumerate(rec.snapshot_ts)
+        ),
+    )

@@ -95,6 +95,28 @@ def test_train_alpha_is_averaged_loss_step(tmp_path, capsys):
     np.testing.assert_allclose(theta, rec.final_theta(), rtol=1e-15)
 
 
+def test_lemmas_alpha_is_averaged_loss_step(tmp_path, capsys):
+    from advlab.data import MixtureSpec, generate, mu_from_scaling
+    from advlab.lemmas import run_suite, save_reports_csv
+    from advlab.norms import PerturbationModel
+    from advlab.training import TrainConfig, train
+
+    out = tmp_path / "cli.csv"
+    code = cli_main(
+        ["lemmas", "--n", "10", "--d", "40", "--r", "0.4", "--eta", "0.1",
+         "--p", "2", "--eps", "0.05", "--seeds", "1", "--T", "20", "--alpha", "2e-3",
+         "--step-mode", "constant", "--seed", "0", "--out", str(out)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    model = PerturbationModel(2.0, 0.05)
+    ds = generate(MixtureSpec(d=40, mu=mu_from_scaling(40, 0.4), eta=0.1, seed=0), 10)
+    rec = train(ds, TrainConfig(model=model, alpha=2e-3 / 10, T=20))
+    expected = tmp_path / "expected.csv"
+    save_reports_csv(run_suite(ds, rec, model), str(expected))
+    assert out.read_text() == expected.read_text()
+
+
 def test_train_divergence_is_runtime_error(capsys):
     code = cli_main(
         ["train", "--n", "10", "--d", "5", "--r", "0.45", "--T", "50",

@@ -7,7 +7,6 @@ import pytest
 
 from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.network import (
-    NetTrainLog,
     PgdConfig,
     TwoLayerNet,
     adv_train_nn,
@@ -16,7 +15,6 @@ from advlab.network import (
     init_network,
     loss_and_gradients,
     pgd_attack,
-    save_net_log_csv,
 )
 from advlab.norms import PerturbationModel, lp_norm
 
@@ -304,29 +302,3 @@ def test_evaluate_nn_risks_bounds_and_dominance():
     again = evaluate_nn_risks(net, spec, cfg, m=2000)
     assert again == rep
 
-
-def test_save_net_log_csv_schema(tmp_path):
-    log = NetTrainLog(
-        h=4,
-        losses=np.array([3.0, 2.0, 1.5]),
-        log_losses=np.log(np.array([3.0, 2.0, 1.5])),
-        param_l2=np.array([1.0, 1.1, 1.2]),
-        param_lq=np.array([2.0, 2.1, 2.2]),
-        train_errors=np.array([0.5, 0.0, 0.0]),
-        adv_train_errors=np.array([0.5, 0.5, 0.0]),
-    )
-    path = tmp_path / "net.csv"
-    save_net_log_csv(log, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,loss,log_loss,theta_l2,theta_q,alignment,train_err,adv_train_err,h"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 3.0
-    assert math.isnan(float(first[5]))
-    assert first[-1] == "4"
-
-    sparse = tmp_path / "sparse.csv"
-    save_net_log_csv(log, str(sparse), record_every=2)
-    rows = sparse.read_text().strip().split("\n")[1:]
-    assert [r.split(",")[0] for r in rows] == ["0", "2"]
