@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import (
     STREAM_ATTACK,
@@ -37,6 +36,7 @@ from .norms import (
     project_onto_ball,
 )
 from .risk import RiskReport, _draw_test_block
+from .training import _log_exp_loss
 
 __all__ = [
     "TwoLayerNet",
@@ -202,12 +202,11 @@ def _pgd_attack_batch(
         for i in range(n):
             cur[i] = feats[i] + project_onto_ball(cur[i] - feats[i], p, eps)
 
-    scores, _ = _score_and_input_ascent(net, cur, labels)
+    scores, grad = _score_and_input_ascent(net, cur, labels)
     best_margin = labels * scores
     best = cur.copy()
 
     for _ in range(cfg.steps):
-        _, grad = _score_and_input_ascent(net, cur, labels)
         direction = norm_subgradient_rows(grad, q)
         cand = cur + step * direction
         if math.isinf(p):
@@ -221,7 +220,7 @@ def _pgd_attack_batch(
             for i in range(n):
                 cand[i] = feats[i] + project_onto_ball(cand[i] - feats[i], p, eps)
         cur = cand
-        scores, _ = _score_and_input_ascent(net, cur, labels)
+        scores, grad = _score_and_input_ascent(net, cur, labels)
         margin = labels * scores
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
@@ -293,7 +292,7 @@ def adv_train_nn(
         with np.errstate(over="ignore"):
             margins = labels * adv_scores
             losses[t] = float(np.sum(np.exp(-margins)))
-        log_losses[t] = float(logsumexp(-margins))
+        log_losses[t] = _log_exp_loss(margins)
         p_l2[t] = net.param_l2()
         p_lq[t] = net.param_lq(q)
         terr[t] = float(np.mean(labels * clean_scores < 0.0))

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# sqrt(v . v) is accurate while v . v lies in (_SUMSQ_MIN, inf): squares that
+# round into subnormals are each off by at most 2**-1075, far below its ulp
+_SUMSQ_MIN = 1e-280
+
+
 def dual_exponent(p: float) -> float:
     """Return the conjugate exponent q with 1/p + 1/q = 1.
 
@@ -71,8 +76,9 @@ class PerturbationModel:
 def lp_norm(v: np.ndarray, p: float) -> float:
     """lp norm of a vector, with the p = inf convention max_i |v_i|.
 
-    Finite p uses max-factoring so that large exponents neither overflow
-    nor underflow before the final root.
+    p = 2 is sqrt(v . v) while that sum is safely representable; other
+    finite p, and p = 2 outside that range, use max-factoring so that large
+    exponents neither overflow nor underflow before the final root.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -85,7 +91,10 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(a.sum())
     if p == 2.0:
-        return float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):
+            s = float(a @ a)
+        if _SUMSQ_MIN < s < math.inf:
+            return math.sqrt(s)
     m = float(a.max())
     if m == 0.0 or not math.isfinite(m):
         return m
@@ -101,58 +110,46 @@ def norm_subgradient(theta: np.ndarray, q: float) -> np.ndarray:
 
     with p conjugate to q.  Conventions at the non-smooth points: the zero
     vector is returned at theta = 0; sign(0) = 0 for q = 1; for q = inf the
-    unit mass sits on the lowest-index coordinate of maximal modulus.
-    Finite q > 1 is evaluated as exp((q-1) * (log|theta_i| - log||theta||_q))
-    so large exponents cannot overflow.
+    unit mass sits on the lowest-index coordinate of maximal modulus.  This
+    is the one-row case of ``norm_subgradient_rows``.
+    """
+    return norm_subgradient_rows(np.asarray(theta, dtype=float)[None], q)[0]
+
+
+def norm_subgradient_rows(mat: np.ndarray, q: float) -> np.ndarray:
+    """One ``norm_subgradient`` per row of a 2-d array.
+
+    Closed forms for q = 1 (sign), q = 2 (row / ||row||_2) and q = inf
+    (one-hot).  Other q, and q = 2 when some row's squared l2 norm leaves the
+    safe range, use sign * (|row| / ||row||_q) ** (q - 1) on rows divided by
+    their largest modulus, so large exponents neither overflow nor underflow.
     """
     q = float(q)
     if math.isnan(q) or q < 1.0:
         raise ValueError(f"norm exponent must lie in [1, inf], got {q!r}")
-    theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    a = np.abs(theta)
-    if a.size == 0 or not a.any():
-        return g
-    if q == 1.0:
-        return np.sign(theta)
-    if math.isinf(q):
-        i = int(np.argmax(a))  # argmax picks the lowest index on ties
-        g[i] = 1.0 if theta[i] > 0 else -1.0
-        return g
-    nrm = lp_norm(theta, q)
-    nz = a > 0.0
-    g[nz] = np.sign(theta[nz]) * np.exp((q - 1.0) * (np.log(a[nz]) - math.log(nrm)))
-    return g
-
-
-def norm_subgradient_rows(mat: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise ``norm_subgradient``: one subgradient per row of a 2-d array."""
-    q = float(q)
-    if math.isnan(q) or q < 1.0:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {q!r}")
     mat = np.asarray(mat, dtype=float)
-    a = np.abs(mat)
-    out = np.zeros_like(mat)
-    if mat.size == 0:
-        return out
     if q == 1.0:
         return np.sign(mat)
+    if mat.size == 0:
+        return np.zeros_like(mat)
     if math.isinf(q):
-        live = a.max(axis=1) > 0.0
-        idx = np.argmax(a, axis=1)
-        rows = np.nonzero(live)[0]
-        cols = idx[rows]
-        out[rows, cols] = np.where(mat[rows, cols] > 0, 1.0, -1.0)
+        out = np.zeros_like(mat)
+        rows = np.arange(mat.shape[0])
+        cols = np.argmax(np.abs(mat), axis=1)  # argmax picks the lowest index on ties
+        out[rows, cols] = np.sign(mat[rows, cols])
         return out
+    if q == 2.0:
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", mat, mat)
+        if _SUMSQ_MIN < sq.min() and sq.max() < math.inf:
+            return mat / np.sqrt(sq)[:, None]
+    a = np.abs(mat)
     m = a.max(axis=1, keepdims=True)
-    live = m[:, 0] > 0.0
-    if not live.any():
-        return out
-    scaled = np.where(m > 0, a / np.where(m > 0, m, 1.0), 0.0)
-    norms = np.sum(scaled**q, axis=1, keepdims=True) ** (1.0 / q)  # ||row||_q / m
-    ratio = np.where(scaled > 0, scaled / np.where(norms > 0.0, norms, 1.0), 0.0)
-    out[live] = np.sign(mat[live]) * ratio[live] ** (q - 1.0)
-    return out
+    m[m == 0.0] = 1.0
+    scaled = a / m
+    nrm = np.sum(scaled**q, axis=1, keepdims=True) ** (1.0 / q)  # ||row||_q / m
+    nrm[nrm == 0.0] = 1.0  # zero rows map to zero
+    return np.sign(mat) * (scaled / nrm) ** (q - 1.0)
 
 
 def worst_case_perturbation(

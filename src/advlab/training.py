@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import write_csv
 from .margins import adversarial_margin
@@ -143,41 +142,58 @@ class TrainRecord:
             raise KeyError(f"no snapshot at iteration {t}") from None
 
 
+def _log_exp_loss(margins: np.ndarray) -> float:
+    """log sum_k exp(-margins_k), shifted by the smallest margin so it stays finite."""
+    low = float(margins.min())
+    if not math.isfinite(low):
+        return -low  # inf (or nan) margins: the log-loss has left the representable range
+    return math.log(np.sum(np.exp(low - margins))) - low
+
+
+def _worst_case(
+    theta: np.ndarray, z: np.ndarray, eps: float, q: float, with_grad: bool = True
+) -> tuple[np.ndarray, float, float, float, Optional[np.ndarray]]:
+    """Margins z @ theta, loss, log-loss, ||theta||_q and (optionally) the gradient.
+
+    The loss and gradient may overflow while the log-loss stays finite.  At
+    eps = 0 the weights are the unshifted exp(-margins), as in plain descent.
+    """
+    margins = z @ theta
+    pen_norm = lp_norm(theta, q)
+    log_loss = _log_exp_loss(margins)
+    # overflowed weights are expected right before the divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eps == 0.0:
+            w = np.exp(-margins)
+        else:
+            w = np.exp(eps * pen_norm - margins)
+            log_loss += eps * pen_norm
+        loss = float(np.sum(w))
+        grad = None
+        if with_grad:
+            grad = -(z.T @ w)
+            if eps != 0.0:
+                grad = grad + (eps * loss) * norm_subgradient(theta, q)
+    return margins, loss, log_loss, pen_norm, grad
+
+
 def adversarial_loss(theta: np.ndarray, ds, model: PerturbationModel) -> float:
     """Worst-case exponential loss; may return inf when the sum overflows.
 
     The log-space value from ``adversarial_log_loss`` stays finite in that
     case and is the quantity to compare.
     """
-    margins = ds.signed_features @ theta
-    if model.epsilon == 0.0:
-        with np.errstate(over="ignore"):
-            return float(np.sum(np.exp(-margins)))
-    pen = model.epsilon * lp_norm(theta, model.q)
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.exp(pen - margins)))
+    return _worst_case(theta, ds.signed_features, model.epsilon, model.q, with_grad=False)[1]
 
 
 def adversarial_log_loss(theta: np.ndarray, ds, model: PerturbationModel) -> float:
     """log of the worst-case exponential loss, computed stably."""
-    margins = ds.signed_features @ theta
-    pen = model.epsilon * lp_norm(theta, model.q) if model.epsilon != 0.0 else 0.0
-    return float(logsumexp(-margins) + pen)
+    return _worst_case(theta, ds.signed_features, model.epsilon, model.q, with_grad=False)[2]
 
 
 def adversarial_loss_gradient(theta: np.ndarray, ds, model: PerturbationModel) -> np.ndarray:
     """Gradient (a subgradient at q-norm kinks) of the worst-case loss."""
-    z = ds.signed_features
-    margins = z @ theta
-    if model.epsilon == 0.0:
-        with np.errstate(over="ignore"):
-            w = np.exp(-margins)
-        return -(z.T @ w)
-    pen = model.epsilon * lp_norm(theta, model.q)
-    with np.errstate(over="ignore"):
-        w = np.exp(pen - margins)
-    g = norm_subgradient(theta, model.q)
-    return -(z.T @ w) + (model.epsilon * float(np.sum(w))) * g
+    return _worst_case(theta, ds.signed_features, model.epsilon, model.q)[4]
 
 
 def alignment(theta: np.ndarray, mu: np.ndarray) -> float:
@@ -260,7 +276,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     def record(t: int, margins: np.ndarray, loss: float, log_loss: float, pen_norm: float):
         losses[t] = loss
         log_losses[t] = log_loss
-        nrm2 = float(np.linalg.norm(theta))
+        nrm2 = pen_norm if q == 2.0 else float(np.linalg.norm(theta))
         theta_l2[t] = nrm2
         theta_q[t] = pen_norm
         aligns[t] = float(mu @ theta) / nrm2 if (mu is not None and nrm2 > 0) else np.nan
@@ -271,22 +287,6 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             margins_snap.append(margins.copy())
             terr.append(float(np.mean(margins < 0.0)))
             aerr.append(float(np.mean(margins - eps * pen_norm < 0.0)))
-
-    def stats() -> tuple[np.ndarray, float, float, float, np.ndarray]:
-        margins = z @ theta
-        if eps == 0.0:
-            with np.errstate(over="ignore"):
-                w = np.exp(-margins)
-            pen_norm = lp_norm(theta, q)
-            loss = float(np.sum(w))
-            log_loss = float(logsumexp(-margins))
-        else:
-            pen_norm = lp_norm(theta, q)
-            with np.errstate(over="ignore"):
-                w = np.exp(eps * pen_norm - margins)
-            loss = float(np.sum(w))
-            log_loss = float(logsumexp(-margins) + eps * pen_norm)
-        return margins, loss, log_loss, pen_norm, w
 
     def make_record() -> TrainRecord:
         return TrainRecord(
@@ -310,14 +310,8 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
         )
 
     for t in range(T):
-        margins, loss, log_loss, pen_norm, w = stats()
+        margins, loss, log_loss, pen_norm, grad = _worst_case(theta, z, eps, q)
         record(t, margins, loss, log_loss, pen_norm)
-        # overflowed weights are expected right before the divergence check
-        with np.errstate(invalid="ignore", over="ignore"):
-            if eps == 0.0:
-                grad = -(z.T @ w)
-            else:
-                grad = -(z.T @ w) + (eps * float(np.sum(w))) * norm_subgradient(theta, q)
         # linear loss may overflow while log_loss stays finite; only the
         # log-space value decides divergence
         if not math.isfinite(log_loss) or not np.all(np.isfinite(grad)):
@@ -328,7 +322,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
         alphas[t] = alpha
         theta = theta - alpha * grad
 
-    margins, loss, log_loss, pen_norm, _ = stats()
+    margins, loss, log_loss, pen_norm, _ = _worst_case(theta, z, eps, q, with_grad=False)
     record(T, margins, loss, log_loss, pen_norm)
     if not math.isfinite(log_loss):
         raise TrainingDiverged(

@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface (exit codes and output)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,20 @@ def test_gen_writes_loadable_csv(tmp_path, capsys):
     ds = load_dataset_csv(str(out))
     assert ds.n == 15 and ds.d == 8
     assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
+
+
+def test_module_entry_point_runs_command(tmp_path):
+    # python -m advlab.cli must dispatch like the installed advlab script
+    out = tmp_path / "ds.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "advlab.cli", "gen", "--n", "6", "--d", "4", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+    assert load_dataset_csv(str(out)).n == 6
 
 
 def test_gen_seed_determinism(tmp_path):

@@ -73,6 +73,11 @@ def test_lp_norm_extreme_scales_no_overflow():
     assert lp_norm(big, 4.0) == pytest.approx(1e300 * 5 ** 0.25, rel=1e-12)
     assert lp_norm(small, 4.0) == pytest.approx(1e-300 * 5 ** 0.25, rel=1e-12)
     assert lp_norm(np.zeros(3), 7.0) == 0.0
+    # p = 2: the plain sum of squares overflows at 1e200 and underflows at 1e-200
+    for scale in (1e200, 1e-200):
+        assert lp_norm(np.array([3.0, 4.0]) * scale, 2.0) == pytest.approx(5.0 * scale, rel=1e-12)
+    assert lp_norm(big, 2.0) == pytest.approx(1e300 * math.sqrt(5.0), rel=1e-12)
+    assert lp_norm(small, 2.0) == pytest.approx(1e-300 * math.sqrt(5.0), rel=1e-12)
 
 
 def test_subgradient_identities_across_q_grid():
@@ -87,6 +92,20 @@ def test_subgradient_identities_across_q_grid():
         assert lp_norm(g, p) == pytest.approx(1.0, abs=1e-12)
         assert float(theta @ g) == pytest.approx(lp_norm(theta, q), rel=1e-12, abs=1e-300)
         assert np.linalg.norm(g) <= math.sqrt(d) + 1e-12
+
+
+def test_subgradient_identities_at_extreme_scales():
+    """Hoelder identities where squares or powers of the entries over/underflow."""
+    base = np.array([[3.0, -4.0, 0.5, 0.0], [-1.0, 2.0, 2.0, 0.25]])
+    for scale in (1e200, 1e-200):
+        mat = base * scale
+        for q in (1.0, 2.0, 3.0, math.inf):
+            p = dual_exponent(q)
+            rows = norm_subgradient_rows(mat, q)
+            for theta, g_row in zip(mat, rows):
+                for g in (norm_subgradient(theta, q), g_row):
+                    assert lp_norm(g, p) == pytest.approx(1.0, abs=1e-12)
+                    assert float(theta @ g) == pytest.approx(lp_norm(theta, q), rel=1e-12)
 
 
 def test_subgradient_matches_finite_differences():

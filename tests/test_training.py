@@ -271,6 +271,19 @@ def test_record_snapshots_and_diagnostics_are_consistent():
         pen = model.epsilon * lp_norm(th, model.q)
         assert rec.adv_train_errors[i] == float(np.mean(m - pen < 0.0))
 
+    # the trainer and the loss/gradient functions share one kernel: the
+    # recorded values and one step are equal to theirs, not just close
+    theta0 = rng.normal(size=3)
+    for p in (np.inf, 2.0, 1.5, 1.0):  # q = 1, 2, 3, inf
+        model_p = PerturbationModel(p, 0.15)
+        rec_p = train(ds, TrainConfig(model=model_p, alpha=0.02, T=3, record_every=1), theta0)
+        for i, t in enumerate(rec_p.snapshot_ts):
+            th = rec_p.thetas[i]
+            assert rec_p.losses[t] == adversarial_loss(th, ds, model_p)
+            assert rec_p.log_losses[t] == adversarial_log_loss(th, ds, model_p)
+        step = theta0 - 0.02 * adversarial_loss_gradient(theta0, ds, model_p)
+        np.testing.assert_array_equal(rec_p.thetas[1], step)
+
     assert rec.snapshot_index(10) == 2
     with pytest.raises(KeyError):
         rec.snapshot_index(11)
