@@ -238,12 +238,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def _run_setup(
-    cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int
+    cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int, solve_adv: bool = True
 ) -> tuple[PerturbationModel, MixtureSpec, Dataset, dict]:
     """Model, spec and dataset of one (grid point, seed) run.
 
     Also returns the SweepRow fields that every row of the run shares: the
-    grid keys and the margins.
+    grid keys and the margins (margin_adv is left to the caller unless solve_adv).
     """
     model = PerturbationModel(p=cfg.p, epsilon=eps)
     spec = MixtureSpec(
@@ -253,7 +253,8 @@ def _run_setup(
     m_std = m_adv = math.nan
     if cfg.margins:
         m_std = standard_margin(ds, model.q, max_iter=cfg.margin_iters).value
-        m_adv = adversarial_margin(ds, model, max_iter=cfg.margin_iters).value
+        if solve_adv:
+            m_adv = adversarial_margin(ds, model, max_iter=cfg.margin_iters).value
     shared = dict(
         seed=seed, d=d, n=cfg.n, eta=cfg.eta, p=cfg.p, epsilon=eps, r=r,
         margin_std=m_std, margin_adv=m_adv,
@@ -264,7 +265,9 @@ def _run_setup(
 def _linear_rows(
     cfg: ExperimentConfig, d: int, r: float, eps: float, seed: int
 ) -> list[SweepRow]:
-    model, spec, ds, shared = _run_setup(cfg, d, r, eps, seed)
+    # a scheduled run writes the adversarial margin that set its steps
+    solve_adv = cfg.step_mode != "scheduled"
+    model, spec, ds, shared = _run_setup(cfg, d, r, eps, seed, solve_adv)
     tc = TrainConfig(
         model=model,
         step_mode=cfg.step_mode,
@@ -278,6 +281,8 @@ def _linear_rows(
         rng = keyed_rng(seed, STREAM_LINEAR_INIT)
         theta0 = rng.standard_normal(d) / math.sqrt(d)
     rec = train(ds, tc, theta0=theta0)
+    if cfg.margins and not solve_adv:
+        shared["margin_adv"] = rec.adv_margin
 
     if cfg.eval == "monte_carlo":
         test_feats, test_labels, _ = _draw_test_block(spec, cfg.mc_samples, seed)

@@ -127,12 +127,6 @@ def _check_geometry(ds: Dataset) -> LemmaReport:
     )
 
 
-def _log_loss_pair(rec: TrainRecord, t: int) -> float:
-    """Comparable loss value at iterate t: linear when finite, else log."""
-    lt = rec.losses[t]
-    return float(lt) if math.isfinite(lt) else float(rec.log_losses[t])
-
-
 def _check_descent(rec: TrainRecord) -> LemmaReport:
     n = rec.n
     first_ok = rec.losses[1] <= 2.0 * n

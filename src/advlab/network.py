@@ -5,8 +5,10 @@ exists for the inner maximization here, so adversarial examples come from
 projected gradient ascent (PGD) in the lp ball: at each step the input
 moves along the steepest-ascent direction of the per-sample loss in lp
 geometry (the dual-norm subgradient of the input gradient) and is projected
-back onto the ball.  The attack tracks the best iterate seen, so with the
-default deterministic start from the clean point the attacked loss never
+back onto the ball.  Each step is one batched call for all rows: the
+steepest-ascent direction from ``norm_subgradient_rows`` and the projection
+from ``project_onto_ball``.  The attack tracks the best iterate seen, so with
+the default deterministic start from the clean point the attacked loss never
 falls below the clean loss.
 
 Gradients are computed by hand (the backward pass mirrors the forward
@@ -30,6 +32,7 @@ from .data import (
 )
 from .norms import (
     PerturbationModel,
+    _lp_norm_rows,
     dual_exponent,
     lp_norm,
     norm_subgradient_rows,
@@ -155,9 +158,9 @@ def loss_and_gradients(
 
 
 def _score_and_input_ascent(
-    net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores plus the per-row gradient of -y*score w.r.t. the input.
+    net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, with_grad: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Scores plus (optionally) the per-row gradient of -y*score w.r.t. the input.
 
     -y*score increases monotonically with the per-sample loss exp(-y*score),
     so its gradient gives the loss-ascent direction without the overflowing
@@ -165,6 +168,8 @@ def _score_and_input_ascent(
     """
     u = feats @ net.W1.T + net.b1
     scores = np.maximum(u, 0.0) @ net.w2 + net.b2
+    if not with_grad:
+        return scores, None
     ds_dx = ((u > 0.0) * net.w2[None, :]) @ net.W1
     return scores, (-labels)[:, None] * ds_dx
 
@@ -184,7 +189,6 @@ def _pgd_attack_batch(
     p = model.p
     q = dual_exponent(p)
     step = cfg.effective_step()
-    n = feats.shape[0]
 
     cur = feats.copy()
     if cfg.random_start:
@@ -194,33 +198,20 @@ def _pgd_attack_batch(
             delta = rng.uniform(-eps, eps, size=feats.shape)
         else:
             raw = rng.standard_normal(feats.shape)
-            radii = eps * rng.random(n) ** (1.0 / feats.shape[1])
-            scale = np.array([lp_norm(raw[i], p) for i in range(n)])
-            scale[scale == 0.0] = 1.0
-            delta = raw / scale[:, None] * radii[:, None]
-        cur = feats + delta
-        for i in range(n):
-            cur[i] = feats[i] + project_onto_ball(cur[i] - feats[i], p, eps)
+            radii = eps * rng.random(feats.shape[0]) ** (1.0 / feats.shape[1])
+            delta = raw / _lp_norm_rows(raw, p)[:, None] * radii[:, None]
+        cand = feats + delta
+        cur = feats + project_onto_ball(cand - feats, p, eps)
 
     scores, grad = _score_and_input_ascent(net, cur, labels)
     best_margin = labels * scores
     best = cur.copy()
 
-    for _ in range(cfg.steps):
-        direction = norm_subgradient_rows(grad, q)
-        cand = cur + step * direction
-        if math.isinf(p):
-            cand = feats + np.clip(cand - feats, -eps, eps)
-        elif p == 2.0:
-            delta = cand - feats
-            nrm = np.linalg.norm(delta, axis=1)
-            factor = np.where(nrm > eps, eps / np.where(nrm > 0, nrm, 1.0), 1.0)
-            cand = feats + delta * factor[:, None]
-        else:
-            for i in range(n):
-                cand[i] = feats[i] + project_onto_ball(cand[i] - feats[i], p, eps)
-        cur = cand
-        scores, grad = _score_and_input_ascent(net, cur, labels)
+    for k in range(cfg.steps):
+        cand = cur + step * norm_subgradient_rows(grad, q)
+        cur = feats + project_onto_ball(cand - feats, p, eps)
+        # the last iterate is only scored: no step reads its gradient
+        scores, grad = _score_and_input_ascent(net, cur, labels, with_grad=k < cfg.steps - 1)
         margin = labels * scores
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)

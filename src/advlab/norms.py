@@ -169,17 +169,17 @@ def worst_case_perturbation(
 
 
 def _project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball via sorted soft thresholding."""
+    """Projection of each row (last axis) onto the l1 ball by sorted soft thresholding."""
     a = np.abs(v)
-    if a.sum() <= radius:
+    far = a.sum(axis=-1, keepdims=True) > radius
+    if not far.any():
         return v.copy()
-    s = np.sort(a)[::-1]
-    css = np.cumsum(s)
-    j = np.arange(1, a.size + 1)
-    ok = s - (css - radius) / j > 0
-    rho = int(np.nonzero(ok)[0][-1])
-    tau = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - tau, 0.0)
+    s = np.sort(a, axis=-1)[..., ::-1]
+    taus = (s.cumsum(axis=-1) - radius) / np.arange(1, a.shape[-1] + 1)
+    # the threshold sits at the last index where s > tau
+    rho = a.shape[-1] - 1 - (s - taus > 0)[..., ::-1].argmax(axis=-1, keepdims=True)
+    tau = np.take_along_axis(taus, rho, axis=-1)
+    return np.where(far, np.sign(v) * np.maximum(a - tau, 0.0), v)
 
 
 def _project_pball_bisect(v: np.ndarray, p: float, radius: float) -> np.ndarray:
@@ -252,11 +252,17 @@ def _project_pball_bisect(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     return np.sign(v) * (w * scale)
 
 
-def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto {u : ||u||_p <= radius}.
+def _lp_norm_rows(mat: np.ndarray, p: float) -> np.ndarray:
+    """``lp_norm`` of each row of a 2-d array."""
+    return np.array([lp_norm(row, p) for row in mat])
 
-    Exact closed forms for p in {1, 2, inf}; other finite p uses the KKT
-    bisection with tolerance 1e-10.  radius = 0 returns the zero vector.
+
+def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
+    """Euclidean projection of each row of v onto {u : ||u||_p <= radius}.
+
+    A 1-d v is the one-row case.  Exact closed forms for p in {1, 2, inf}
+    act on all rows at once; other finite p runs the KKT bisection (tolerance
+    1e-10) on each row outside the ball.  radius = 0 returns zeros.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -271,10 +277,10 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     if p == 1.0:
         return _project_l1(v, radius)
     if p == 2.0:
-        nrm = float(np.linalg.norm(v))
-        if nrm <= radius:
-            return v.copy()
-        return v * (radius / nrm)
-    if lp_norm(v, p) <= radius:
-        return v.copy()
-    return _project_pball_bisect(v, p, radius)
+        nrm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        return v * (radius / np.maximum(nrm, radius))
+    out = v.copy()
+    for i in np.ndindex(v.shape[:-1]):
+        if lp_norm(v[i], p) > radius:
+            out[i] = _project_pball_bisect(v[i], p, radius)
+    return out

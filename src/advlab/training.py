@@ -276,7 +276,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     def record(t: int, margins: np.ndarray, loss: float, log_loss: float, pen_norm: float):
         losses[t] = loss
         log_losses[t] = log_loss
-        nrm2 = pen_norm if q == 2.0 else float(np.linalg.norm(theta))
+        nrm2 = pen_norm if q == 2.0 else lp_norm(theta, 2.0)
         theta_l2[t] = nrm2
         theta_q[t] = pen_norm
         aligns[t] = float(mu @ theta) / nrm2 if (mu is not None and nrm2 > 0) else np.nan

@@ -314,6 +314,36 @@ def test_sweep_alpha_is_averaged_loss_step(tmp_path):
     assert float(final["loss"]) == rec.losses[5]
 
 
+def test_scheduled_sweep_writes_the_margin_that_set_the_schedule(tmp_path, monkeypatch):
+    # one standard and one adversarial margin solve per run: the adversarial
+    # margin is solved once inside train() and reused for the margin_adv column
+    from advlab import margins
+    from advlab.data import MixtureSpec, generate, mu_from_scaling
+    from advlab.norms import PerturbationModel
+
+    calls = []
+    solve = margins._solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(margins, "_solve", counting_solve)
+    cfg = _tiny_cfg(
+        tmp_path, figure_id="custom", n=10, d_grid=(15,), r=0.4, seeds=1, T=5,
+        record_every=5, step_mode="scheduled", margin_iters=100,
+    )
+    written = run_figure(cfg, svg=False)
+    assert len(calls) == 2
+    lines = open(written["raw"]).read().strip().split("\n")
+    header = lines[0].split(",")
+    row = dict(zip(header, lines[-1].split(",")))
+
+    ds = generate(MixtureSpec(d=15, mu=mu_from_scaling(15, 0.4), eta=cfg.eta, seed=0), 10)
+    gamma = margins.adversarial_margin(ds, PerturbationModel(cfg.p, 0.05)).value
+    assert float(row["margin_adv"]) == gamma
+
+
 def test_run_figure_custom_writes_csv_only(tmp_path):
     cfg = ExperimentConfig(
         figure_id="custom",

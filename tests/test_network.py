@@ -222,7 +222,7 @@ def test_pgd_recovers_closed_form_on_induced_linear_net():
 def test_pgd_random_start_is_contained_and_reproducible():
     net = init_network(d=5, h=8, seed=2)
     x = np.arange(5, dtype=float) / 3.0
-    for p in (2.0, np.inf, 4.0):
+    for p in (2.0, np.inf, 4.0, 1.0):
         cfg = PgdConfig(model=PerturbationModel(p, 0.2), steps=5, random_start=True)
         a = pgd_attack(net, x, 1, cfg, rng=np.random.default_rng(11))
         b = pgd_attack(net, x, 1, cfg, rng=np.random.default_rng(11))

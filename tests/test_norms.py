@@ -217,6 +217,26 @@ def test_project_onto_ball_is_identity_inside():
         assert np.array_equal(w, v)
 
 
+def test_project_onto_ball_rows_match_one_row_projections():
+    """A 2-d input is projected row by row, as if each row were a 1-d input."""
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(7, 5)) * np.array([[3.0], [2.0], [0.01], [0.0], [1.0], [0.02], [5.0]])
+    for p in P_GRID:
+        for radius in (0.0, 0.5, 1.0):
+            w = project_onto_ball(v, p, radius)
+            assert w.shape == v.shape
+            ref = np.array([project_onto_ball(row, p, radius) for row in v])
+            if p in (1.0, 2.0, math.inf):
+                np.testing.assert_array_equal(w, ref)
+            else:
+                np.testing.assert_allclose(w, ref, rtol=0.0, atol=1e-12)
+            # the mix holds rows inside the ball and rows outside it
+            inside = np.array([lp_norm(row, p) <= radius for row in v])
+            np.testing.assert_array_equal(w[inside], v[inside])
+            if radius > 0.0:
+                assert 0 < inside.sum() < len(v)
+
+
 def test_project_onto_ball_feasible_and_closest():
     """Projection beats every sampled feasible point in Euclidean distance."""
     rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Tests for the worst-case exponential loss and the full-batch trainer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ def test_divergence_aborts_with_partial_record():
     assert math.isfinite(rec.log_losses[1])
     assert np.all(np.isnan(rec.losses[2:]))
     assert rec.snapshot_ts[-1] == 1
+
+
+def test_theta_l2_record_is_overflow_safe_off_q2():
+    # |theta|^2 overflows near |theta| ~ 1e154; the recorded l2 norm must not
+    spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.0, seed=4)
+    ds = generate(spec, 8)
+    theta0 = np.full(20, 1e160)
+    for p in (1.0, math.inf):
+        cfg = TrainConfig(model=PerturbationModel(p, 0.1), T=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rec = train(ds, cfg, theta0=theta0)
+            except TrainingDiverged as exc:
+                rec = exc.record
+        assert rec.theta_l2[0] == pytest.approx(1e160 * math.sqrt(20), rel=1e-12)
 
 
 def test_record_csv_round_trips(tmp_path):
