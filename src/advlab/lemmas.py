@@ -291,7 +291,7 @@ def run_suite(
     ]
     gamma = rec.adv_margin
     if gamma is None:
-        gamma = adversarial_margin(ds, model, max_iter=2000).value
+        gamma = adversarial_margin(ds, model).value
     if gamma <= 0.0:
         reports[0].details += (
             f" [warning: perturbation-adjusted margin {gamma:.3e} <= 0;"

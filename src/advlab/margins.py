@@ -5,17 +5,26 @@ directions, and the best perturbation-adjusted min-margin
 
     max_{||theta||_2 = 1}  min_k  y_k theta.x_k - epsilon*||theta||_q
 
-over unit Euclidean directions.  Both are solved by projected subgradient
-ascent with Polyak-style steps, best-iterate tracking, and iterate
-averaging, initialized at the normalized label-weighted sample mean.  A
-feasible dual point (a convex combination of the rows, shifted into the
-perturbation ball where applicable) certifies an upper bound; the reported
-certificate_gap is that upper bound minus the returned value and therefore
-bounds the suboptimality whenever the optimum is nonnegative.
+over unit Euclidean directions.  Every problem on the Euclidean sphere (each
+adversarial margin, and the standard margin at q = 2) is solved through its
+n-dimensional dual over the probability simplex, the hard-margin SVM dual:
 
-Non-separable inputs return the negative optimum of the sphere-constrained
-problem, located by the same ascent (in two dimensions, by a zoomed grid of
-directions); the certificate is loose there and the gap simply reports it.
+    min_{lam in simplex}  dist_2(Z^T lam, epsilon * B_p),
+
+with B_p the unit ball of the norm conjugate to q (the point {0} when
+epsilon = 0).  Accelerated projected gradient with gradient restart
+minimizes half the squared distance; the residual r = Z^T lam - P(Z^T lam)
+gives the primal direction r/||r||, and ||r|| bounds the optimum from
+above, so certificate_gap is that bound minus the value at the direction.
+
+The standard margin at q != 2 keeps projected subgradient ascent with
+Polyak-style steps, best-iterate tracking and iterate averaging, initialized
+at the normalized label-weighted sample mean and certified by the counting
+dual point.  So do negative optima on the Euclidean sphere (non-separable
+inputs): their dual value is 0, so the dual certifies nothing and the ascent
+on the sphere takes over, keeping the dual's best direction and bound unless
+it beats them; the gap is loose there and simply reports it.  In two
+dimensions a zoomed grid of directions replaces both.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MarginResult", "standard_margin", "adversarial_margin"]
 
 DEFAULT_MAX_ITER = 5000
-DEFAULT_GAP_TOL = 1e-7
+DEFAULT_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,89 @@ def _refine_2d(
             ang, val, vec = a2, v2, d2
         width /= 8.0
     return vec, val
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (Michelot's method).
+
+    The threshold tau solves sum(max(v - tau, 0)) = 1.  Averaging over a
+    shrinking support gives a tau that only grows, and each pass drops the
+    entries at or below it, so the support settles at the exact threshold
+    in at most v.size passes.  Unlike the sorted-threshold method it needs
+    no sort, whose first call maps numpy's sorting kernels into memory.
+    """
+    w = v
+    while True:
+        tau = (float(w.sum()) - 1.0) / w.size
+        kept = w[w > tau]
+        if kept.size in (0, w.size):  # 0 only when v holds NaN
+            return np.maximum(v - tau, 0.0)
+        w = kept
+
+
+def _solve_dual(
+    z: np.ndarray, eps: float, pen_q: float, max_iter: int, gap_tol: float
+) -> tuple[np.ndarray | None, float, float, int]:
+    """Dual of the Euclidean-sphere problem over the simplex.
+
+    Minimizes g(lam) = 0.5*dist_2(Z^T lam, eps*B_p)^2 by FISTA with gradient
+    restart.  grad g = Z r with r the residual Z^T lam minus its projection,
+    and r is 1-Lipschitz in Z^T lam, so the step 1/L is safe once L bounds
+    ||Z^T (x - y)||^2 / ||x - y||^2 along each step.  L starts at the largest
+    squared row norm, a lower bound on the top eigenvalue of Z Z^T, and
+    doubles whenever a step violates that bound, up to the trace of Z Z^T,
+    which bounds it on every step.  Neither needs the Gram matrix.
+    Every simplex point certifies ||r|| as an upper bound on the optimum, and
+    r/||r|| is a unit direction whose objective value is a lower bound.
+
+    Returns (best direction or None, its value, least upper bound, iterations);
+    stops when the bounds close to gap_tol, or when the upper bound falls to
+    gap_tol without a positive value (no positive optimum to certify).
+    """
+    n = z.shape[0]
+    ball_p = dual_exponent(pen_q)
+
+    def residual(w: np.ndarray) -> np.ndarray:
+        return w - project_onto_ball(w, ball_p, eps) if eps > 0.0 else w
+
+    row_sq = np.einsum("ij,ij->i", z, z)
+    lip, lip_max = float(row_sq.max()), float(row_sq.sum())
+    x = np.full(n, 1.0 / n)
+    wx = x @ z
+    y, wy = x, wx
+    t = 1.0
+    best_theta = None
+    best_val = -math.inf
+    upper = math.inf
+    it = 0
+    while it < max_iter:
+        it += 1
+        grad = z @ residual(wy)
+        while True:
+            xn = _project_simplex(y - grad / lip)
+            wn = xn @ z
+            dx, dw = xn - y, wn - wy
+            if lip >= lip_max or not float(dw @ dw) > lip * float(dx @ dx):
+                break
+            lip = min(2.0 * lip, lip_max)
+        r = residual(wn)
+        dist = math.sqrt(float(r @ r))
+        upper = min(upper, dist)
+        if dist > 0.0:
+            theta = r / dist
+            val, _ = _objective(z, theta, eps, pen_q)
+            if val > best_val:
+                best_val, best_theta = val, theta
+        if upper - best_val <= gap_tol or (upper <= gap_tol and best_val <= 0.0):
+            break
+        if float((y - xn) @ (xn - x)) > 0.0:
+            t = 1.0  # gradient restart: the momentum points uphill
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = xn + beta * (xn - x)
+        wy = wn + beta * (wn - wx)
+        x, wx, t = xn, wn, t_next
+    return best_theta, best_val, upper, it
 
 
 def _solve(
@@ -236,10 +328,21 @@ def _solve(
         # final grid width (sqrt(2) covers the q-sphere's Euclidean reach)
         width = 2.0 * math.pi / 1024.0 / 8.0 ** 10
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
+    elif sphere_q == 2.0:
+        dual_theta, best_val, best_upper, total_iters = _solve_dual(
+            z, eps, pen_q, max_iter, gap_tol
+        )
+        if dual_theta is not None:
+            best_theta = dual_theta
+        if best_val <= 0.0 and best_upper - best_val > gap_tol:
+            # no positive optimum to certify: the sphere optimum is negative
+            # (the dual value is 0), so ascend on the sphere itself
+            _ascend(start, on_ball=False)
     else:
-        ball_first = eps == 0.0  # homogeneous: ball and sphere optima agree when positive
-        _ascend(start, on_ball=ball_first)
-        if ball_first and best_val <= 0.0 and gap > gap_tol:
+        # standard margin at q != 2, homogeneous: the ball and sphere optima
+        # agree when positive
+        _ascend(start, on_ball=True)
+        if best_val <= 0.0 and gap > gap_tol:
             # non-separable: the sphere optimum is negative and off the ball path
             _ascend(start, on_ball=False)
 

@@ -198,7 +198,7 @@ def adversarial_loss_gradient(theta: np.ndarray, ds, model: PerturbationModel) -
 
 def alignment(theta: np.ndarray, mu: np.ndarray) -> float:
     """Component of the unit vector along theta in the mu direction times ||mu||."""
-    nrm = float(np.linalg.norm(theta))
+    nrm = lp_norm(theta, 2.0)
     if nrm == 0.0:
         raise ValueError("alignment is undefined at theta = 0")
     return float(mu @ theta) / nrm

@@ -2,11 +2,15 @@
 residuals, and monotonicity in the perturbation radius."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advlab.data import Dataset
+from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.margins import MarginResult, adversarial_margin, standard_margin
 from advlab.norms import PerturbationModel, dual_exponent, lp_norm
 
@@ -133,3 +137,102 @@ def test_nonseparable_instance_reports_negative_margin():
     feats = np.array([[1.0, 0.0], [-0.5, s], [-0.5, -s]])
     res = standard_margin(_dataset(feats, np.ones(3)), q=2.0)
     assert res.value == pytest.approx(-0.5, abs=1e-6)
+
+
+# ------------------------------------------------- dual over the simplex
+
+
+def _orthogonal_rows(seed=5):
+    # signed rows c_k * u_k with orthonormal u_k: the dual optimum weights
+    # lam_k ~ 1/c_k^2, so the q = 2 margin is 1/sqrt(sum_k 1/c_k^2)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    c = np.array([0.5, 1.0, 2.0, 3.0, 4.5])
+    labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0])
+    ds = _dataset(labels[:, None] * (c[:, None] * basis[:5]), labels)
+    return ds, 1.0 / math.sqrt(float(np.sum(1.0 / c**2)))
+
+
+def test_orthogonal_rows_match_closed_form():
+    ds, want = _orthogonal_rows()
+    std = standard_margin(ds, q=2.0, gap_tol=1e-13)
+    assert std.value == pytest.approx(want, abs=1e-12)
+    adv = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=0.3), gap_tol=1e-13)
+    assert adv.value == pytest.approx(want - 0.3, abs=1e-12)
+
+
+def _mixture(d, seed):
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=seed)
+    return generate(spec, 50)
+
+
+@pytest.mark.parametrize("d", [200, 1000])
+def test_dual_certifies_euclidean_margins(d):
+    ds = _mixture(d, seed=d)
+    results = [standard_margin(ds, q=2.0)] + [
+        adversarial_margin(ds, PerturbationModel(p=p, epsilon=eps))
+        for p, eps in [(1.0, 0.1), (2.0, 0.1), (math.inf, 0.01)]
+    ]
+    for res in results:
+        assert res.value > 0.0
+        assert 0.0 <= res.certificate_gap <= 1e-8 * max(1.0, abs(res.value))
+        assert res.iterations < 1000
+
+
+@pytest.mark.parametrize("d", [200, 1000])
+def test_certified_margins_monotone_in_epsilon(d):
+    ds = _mixture(d, seed=d + 1)
+    for p in [1.0, 2.0, math.inf]:
+        vals = [
+            adversarial_margin(ds, PerturbationModel(p=p, epsilon=eps)).value
+            for eps in (0.0, 0.001, 0.01, 0.05, 0.1)
+        ]
+        assert float(np.diff(vals).max()) <= 1e-9, (p, vals)
+
+
+def test_nonseparable_instance_falls_back_to_primal_ascent(monkeypatch):
+    # rows +-c_i e_i surround the origin: the best unit theta balances
+    # c_i |theta_i|, scoring -1/sqrt(sum 1/c_i^2); the dual value is 0
+    from advlab import margins
+
+    c = np.array([1.0, 2.0, 3.0])
+    ds = _dataset(np.vstack([np.diag(c), -np.diag(c)]), np.ones(6))
+    want = -1.0 / math.sqrt(float(np.sum(1.0 / c**2)))
+    calls = []
+    subgradient = margins.norm_subgradient
+
+    def counting_subgradient(theta, q):
+        calls.append(q)
+        return subgradient(theta, q)
+
+    monkeypatch.setattr(margins, "norm_subgradient", counting_subgradient)
+    assert standard_margin(ds, q=2.0).value == pytest.approx(want, abs=1e-6)
+    res = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=0.1))
+    assert calls  # only the primal ascent takes subgradients
+    assert res.value == pytest.approx(want - 0.1, abs=1e-6)
+    assert res.certificate_gap >= -res.value
+
+
+def test_margin_solves_do_not_import_scipy_optimize():
+    # importing scipy.optimize costs a large share of a fresh process's set-up
+    # time, and every warm-up solves margins
+    code = (
+        "import math, sys\n"
+        "import advlab\n"
+        "from advlab.data import MixtureSpec, generate, mu_from_scaling\n"
+        "from advlab.margins import adversarial_margin, standard_margin\n"
+        "from advlab.norms import PerturbationModel\n"
+        "ds = generate(MixtureSpec(d=100, mu=mu_from_scaling(100, 0.3), eta=0.1, seed=0), 20)\n"
+        "for p in (2.0, math.inf):\n"
+        "    model = PerturbationModel(p, 0.05)\n"
+        "    standard_margin(ds, model.q)\n"
+        "    adversarial_margin(ds, model)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

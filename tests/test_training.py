@@ -192,6 +192,14 @@ def test_alignment_closed_forms():
         alignment(np.zeros(2), mu)
 
 
+def test_alignment_is_overflow_safe():
+    # |theta|^2 overflows near |theta| ~ 1e154; the l2 norm it divides by must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = alignment(np.full(20, 1e160), np.ones(20))
+    assert got == pytest.approx(math.sqrt(20), rel=1e-12)
+
+
 # ------------------------------------------------------------------- training
 
 
