@@ -142,19 +142,14 @@ def test_nonseparable_instance_reports_negative_margin():
 # ------------------------------------------------- dual over the simplex
 
 
-def _orthogonal_rows(seed=5):
+def test_orthogonal_rows_match_closed_form():
     # signed rows c_k * u_k with orthonormal u_k: the dual optimum weights
     # lam_k ~ 1/c_k^2, so the q = 2 margin is 1/sqrt(sum_k 1/c_k^2)
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    basis, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(12, 12)))
     c = np.array([0.5, 1.0, 2.0, 3.0, 4.5])
     labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0])
     ds = _dataset(labels[:, None] * (c[:, None] * basis[:5]), labels)
-    return ds, 1.0 / math.sqrt(float(np.sum(1.0 / c**2)))
-
-
-def test_orthogonal_rows_match_closed_form():
-    ds, want = _orthogonal_rows()
+    want = 1.0 / math.sqrt(float(np.sum(1.0 / c**2)))
     std = standard_margin(ds, q=2.0, gap_tol=1e-13)
     assert std.value == pytest.approx(want, abs=1e-12)
     adv = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=0.3), gap_tol=1e-13)
