@@ -83,17 +83,15 @@ def geometry_constant(ds: Dataset) -> float:
     return float(max(sq.max() / d, d / sq.min(), 1.0))
 
 
-def _check_geometry(ds: Dataset) -> LemmaReport:
+def _check_geometry(ds: Dataset, c: float) -> LemmaReport:
     if ds.spec is None:
         raise ValueError("geometry check needs the generating spec for mu")
     z = ds.signed_features
     n, d = ds.n, ds.d
     mu = ds.spec.mu
     mu_sq = float(mu @ mu)
-    c = geometry_constant(ds)
 
-    gram = z @ z.T
-    off = np.abs(gram[~np.eye(n, dtype=bool)])
+    off = np.abs(ds.gram[~np.eye(n, dtype=bool)])
     pair_limit = 2.0 * (mu_sq + math.sqrt(d * math.log(n / _CONFIDENCE)))
     pair_max = float(off.max()) if n > 1 else 0.0
 
@@ -159,8 +157,7 @@ def _check_descent(rec: TrainRecord) -> LemmaReport:
     )
 
 
-def _check_iterate_norm(ds: Dataset, rec: TrainRecord) -> LemmaReport:
-    c = geometry_constant(ds)
+def _check_iterate_norm(ds: Dataset, rec: TrainRecord, c: float) -> LemmaReport:
     eps = rec.config.model.epsilon
     coef = (math.sqrt(c) + eps) * math.sqrt(ds.d)
     # cumulative step-weighted loss sum_{m<=t} alpha_m L(theta_m)
@@ -181,8 +178,7 @@ def _check_iterate_norm(ds: Dataset, rec: TrainRecord) -> LemmaReport:
     )
 
 
-def _check_loss_ratio(ds: Dataset, rec: TrainRecord) -> LemmaReport:
-    c = geometry_constant(ds)
+def _check_loss_ratio(rec: TrainRecord, c: float) -> LemmaReport:
     limit = 5.0 * c * c
     log_limit = math.log(limit)
     spreads = rec.margin_spread
@@ -198,14 +194,13 @@ def _check_loss_ratio(ds: Dataset, rec: TrainRecord) -> LemmaReport:
     )
 
 
-def _check_alignment(ds: Dataset, rec: TrainRecord) -> LemmaReport:
+def _check_alignment(ds: Dataset, rec: TrainRecord, c: float) -> LemmaReport:
     if ds.spec is None:
         raise ValueError("alignment check needs the generating spec for mu")
     mu = ds.spec.mu
     mu_nrm = float(np.linalg.norm(mu))
     eps = rec.config.model.epsilon
     q = rec.config.model.q
-    c = geometry_constant(ds)
     T = rec.T
     ref_t = 10 if T > 10 else max(1, T // 2)
     a_ref = float(rec.alignments[ref_t])
@@ -281,12 +276,13 @@ def run_suite(
         )
     if model != rec.config.model:
         raise ValueError("model disagrees with the one used for training")
+    c = geometry_constant(ds)
     reports = [
-        _check_geometry(ds),
+        _check_geometry(ds, c),
         _check_descent(rec),
-        _check_iterate_norm(ds, rec),
-        _check_loss_ratio(ds, rec),
-        _check_alignment(ds, rec),
+        _check_iterate_norm(ds, rec, c),
+        _check_loss_ratio(rec, c),
+        _check_alignment(ds, rec, c),
         _check_subgradient(rec),
     ]
     gamma = rec.adv_margin

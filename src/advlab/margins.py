@@ -16,6 +16,9 @@ epsilon = 0).  Accelerated projected gradient with gradient restart
 minimizes half the squared distance; the residual r = Z^T lam - P(Z^T lam)
 gives the primal direction r/||r||, and ||r|| bounds the optimum from
 above, so certificate_gap is that bound minus the value at the direction.
+Solvers stop once certificate_gap <= gap_tol * max(1, |value|): the
+tolerance is absolute for values up to 1 and relative beyond, where rounding
+in the margins alone exceeds any fixed gap.
 
 The standard margin at q != 2 keeps projected subgradient ascent with
 Polyak-style steps, best-iterate tracking and iterate averaging, initialized
@@ -49,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MarginResult", "standard_margin", "adversarial_margin"]
 
 DEFAULT_MAX_ITER = 5000
+# stopping gap, scaled by max(1, |value|)
 DEFAULT_GAP_TOL = 1e-10
 
 
@@ -74,6 +78,11 @@ def _objective(z: np.ndarray, theta: np.ndarray, eps: float, q: float) -> tuple[
     if eps > 0.0:
         val -= eps * lp_norm(theta, q)
     return val, k
+
+
+def _tolerance(value: float, gap_tol: float) -> float:
+    """The gap that counts as closed at this value: gap_tol * max(1, |value|)."""
+    return gap_tol * max(1.0, abs(value)) if math.isfinite(value) else gap_tol
 
 
 def _dual_upper_bound(
@@ -172,8 +181,9 @@ def _solve_dual(
     r/||r|| is a unit direction whose objective value is a lower bound.
 
     Returns (best direction or None, its value, least upper bound, iterations);
-    stops when the bounds close to gap_tol, or when the upper bound falls to
-    gap_tol without a positive value (no positive optimum to certify).
+    stops when the bounds close to gap_tol * max(1, |value|), or when the
+    upper bound falls to gap_tol without a positive value (no positive
+    optimum to certify).
     """
     n = z.shape[0]
     ball_p = dual_exponent(pen_q)
@@ -209,7 +219,9 @@ def _solve_dual(
             val, _ = _objective(z, theta, eps, pen_q)
             if val > best_val:
                 best_val, best_theta = val, theta
-        if upper - best_val <= gap_tol or (upper <= gap_tol and best_val <= 0.0):
+        if upper - best_val <= _tolerance(best_val, gap_tol) or (
+            upper <= gap_tol and best_val <= 0.0
+        ):
             break
         if float((y - xn) @ (xn - x)) > 0.0:
             t = 1.0  # gradient restart: the momentum points uphill
@@ -315,7 +327,7 @@ def _solve(
                         best_upper = min(best_upper, upper)
                 recent[:] = 0.0
                 gap = max(0.0, best_upper - best_val)
-                if gap <= gap_tol:
+                if gap <= _tolerance(best_val, gap_tol):
                     return
 
     if d == 2:
@@ -334,7 +346,7 @@ def _solve(
         )
         if dual_theta is not None:
             best_theta = dual_theta
-        if best_val <= 0.0 and best_upper - best_val > gap_tol:
+        if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val, gap_tol):
             # no positive optimum to certify: the sphere optimum is negative
             # (the dual value is 0), so ascend on the sphere itself
             _ascend(start, on_ball=False)
@@ -342,7 +354,7 @@ def _solve(
         # standard margin at q != 2, homogeneous: the ball and sphere optima
         # agree when positive
         _ascend(start, on_ball=True)
-        if best_val <= 0.0 and gap > gap_tol:
+        if best_val <= 0.0 and gap > _tolerance(best_val, gap_tol):
             # non-separable: the sphere optimum is negative and off the ball path
             _ascend(start, on_ball=False)
 

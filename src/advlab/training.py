@@ -15,6 +15,17 @@ from the zero vector (or a supplied start), records scalar diagnostics at
 every iteration and full snapshots on a stride, and aborts with the partial
 record attached if the loss or gradient leaves the representable range.
 
+Row space at q = 2: there g(theta) = theta/||theta||_2, so every step adds a
+combination of the rows z_k and rescales theta, and theta stays in the span
+of the rows of B, the z_k (plus theta0 as one more row when a start is
+given).  When eps > 0 and B has fewer rows k than d, the trainer writes
+theta = B^T c and descends on c in R^k with the k x k Gram matrix B B^T:
+margins, ||theta||_2, mu.theta and the step all cost O(k^2) rather than
+O(n d), and theta is formed only at snapshots.  The loop, the record and the
+divergence checks are the same on both paths; only the kernel differs.  The
+values agree with descent on theta to rounding (about 1e-15 relative).
+Every other case (eps = 0, q != 2, k >= d) descends on theta itself.
+
 Step modes: "constant" uses a fixed step; "scheduled" uses a conservative
 schedule derived from smoothness bounds, with a large first step 1/(G*d*n)
 and subsequent steps 1/(G*d*n*M) where M inflates with the dimension, the
@@ -32,7 +43,7 @@ import numpy as np
 
 from .data import write_csv
 from .margins import adversarial_margin
-from .norms import PerturbationModel, lp_norm, norm_subgradient
+from .norms import _SUMSQ_MIN, PerturbationModel, lp_norm, norm_subgradient
 
 __all__ = [
     "STEP_MODES",
@@ -147,7 +158,7 @@ def _log_exp_loss(margins: np.ndarray) -> float:
     low = float(margins.min())
     if not math.isfinite(low):
         return -low  # inf (or nan) margins: the log-loss has left the representable range
-    return math.log(np.sum(np.exp(low - margins))) - low
+    return math.log(np.exp(low - margins).sum()) - low
 
 
 def _worst_case(
@@ -175,6 +186,63 @@ def _worst_case(
             if eps != 0.0:
                 grad = grad + (eps * loss) * norm_subgradient(theta, q)
     return margins, loss, log_loss, pen_norm, grad
+
+
+def _row_space_worst_case(
+    c: np.ndarray, gram: np.ndarray, n: int, eps: float, to_theta, with_grad: bool = True
+) -> tuple[np.ndarray, float, float, float, Optional[np.ndarray]]:
+    """``_worst_case`` at q = 2, eps > 0 for theta = B^T c, from gram = B B^T.
+
+    The first n rows of B are the z_k, so the margins are (gram @ c)[:n] and
+    ||theta||_2^2 = c . gram @ c.  Where that square leaves the range in which
+    its root is accurate (rounding below zero included), the norm is taken of
+    theta itself.  The gradient is returned in coefficients: grad_theta =
+    B^T grad_c with grad_c = -w (padded with zeros) + eps*L*c/||theta||_2.
+    """
+    v = gram @ c
+    margins = v[:n]
+    # overflowed weights are expected right before the divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = float(c @ v)
+        pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(to_theta(c), 2.0)
+        log_loss = _log_exp_loss(margins) + eps * pen_norm
+        w = np.exp(eps * pen_norm - margins)
+        loss = float(w.sum())
+        grad = None
+        if with_grad:
+            grad = (eps * loss / pen_norm) * c if pen_norm > 0.0 else np.zeros_like(c)
+            grad[:n] -= w
+    return margins, loss, log_loss, pen_norm, grad
+
+
+def _row_space(ds, theta0: Optional[np.ndarray], mu: Optional[np.ndarray]):
+    """Start c0, Gram matrix B B^T, mu in coefficients (B mu) and c -> B^T c.
+
+    B is the z_k, with theta0 appended as row n when given (c0 = e_n).
+    """
+    z = ds.signed_features
+    n = z.shape[0]
+    gram = ds.gram
+    if theta0 is None:
+        c0 = np.zeros(n)
+    else:
+        border = z @ theta0
+        gram = np.empty((n + 1, n + 1))
+        gram[:n, :n] = ds.gram
+        gram[:n, n] = gram[n, :n] = border
+        with np.errstate(over="ignore"):
+            gram[n, n] = theta0 @ theta0
+        c0 = np.zeros(n + 1)
+        c0[n] = 1.0
+
+    def to_theta(c: np.ndarray) -> np.ndarray:
+        theta = c[:n] @ z
+        return theta if theta0 is None else theta + c[n] * theta0
+
+    mu_c = None
+    if mu is not None:
+        mu_c = z @ mu if theta0 is None else np.append(z @ mu, theta0 @ mu)
+    return c0, gram, mu_c, to_theta
 
 
 def adversarial_loss(theta: np.ndarray, ds, model: PerturbationModel) -> float:
@@ -270,20 +338,38 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
         if theta.shape != (d,):
             raise ValueError(f"theta0 must have shape ({d},), got {theta.shape}")
 
+    # x is the iterate the loop descends on: theta itself, or its row-space
+    # coefficients c with theta = B^T c (module docstring); mu_x is mu in the
+    # same coordinates, so that mu . theta = mu_x . x
+    k = n if theta0 is None else n + 1
+    if q == 2.0 and eps > 0.0 and k < d:
+        x, gram, mu_x, to_theta = _row_space(ds, None if theta0 is None else theta, mu)
+
+        def evaluate(c: np.ndarray, with_grad: bool = True):
+            return _row_space_worst_case(c, gram, n, eps, to_theta, with_grad)
+    else:
+        x, mu_x, to_theta = theta, mu, np.copy
+
+        def evaluate(th: np.ndarray, with_grad: bool = True):
+            return _worst_case(th, z, eps, q, with_grad)
+
     def want_snapshot(t: int) -> bool:
         return t == 0 or t == 1 or t == T or t % cfg.record_every == 0
 
-    def record(t: int, margins: np.ndarray, loss: float, log_loss: float, pen_norm: float):
+    def record(
+        t: int, x: np.ndarray, margins: np.ndarray, loss: float, log_loss: float, pen_norm: float
+    ):
         losses[t] = loss
         log_losses[t] = log_loss
-        nrm2 = pen_norm if q == 2.0 else lp_norm(theta, 2.0)
+        # off q = 2 the loop runs on theta itself, so x is theta there
+        nrm2 = pen_norm if q == 2.0 else lp_norm(x, 2.0)
         theta_l2[t] = nrm2
         theta_q[t] = pen_norm
-        aligns[t] = float(mu @ theta) / nrm2 if (mu is not None and nrm2 > 0) else np.nan
+        aligns[t] = float(mu_x @ x) / nrm2 if (mu_x is not None and nrm2 > 0) else np.nan
         spreads[t] = float(margins.max() - margins.min())
         if want_snapshot(t):
             snapshot_ts.append(t)
-            thetas.append(theta.copy())
+            thetas.append(to_theta(x))
             margins_snap.append(margins.copy())
             terr.append(float(np.mean(margins < 0.0)))
             aerr.append(float(np.mean(margins - eps * pen_norm < 0.0)))
@@ -310,20 +396,20 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
         )
 
     for t in range(T):
-        margins, loss, log_loss, pen_norm, grad = _worst_case(theta, z, eps, q)
-        record(t, margins, loss, log_loss, pen_norm)
+        margins, loss, log_loss, pen_norm, grad = evaluate(x)
+        record(t, x, margins, loss, log_loss, pen_norm)
         # linear loss may overflow while log_loss stays finite; only the
         # log-space value decides divergence
-        if not math.isfinite(log_loss) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(log_loss) or not np.isfinite(grad).all():
             raise TrainingDiverged(
                 f"non-finite loss or gradient at iteration {t}", make_record(), t
             )
         alpha = alpha_first if t == 0 else alpha_rest
         alphas[t] = alpha
-        theta = theta - alpha * grad
+        x = x - alpha * grad
 
-    margins, loss, log_loss, pen_norm, _ = _worst_case(theta, z, eps, q, with_grad=False)
-    record(T, margins, loss, log_loss, pen_norm)
+    margins, loss, log_loss, pen_norm, _ = evaluate(x, with_grad=False)
+    record(T, x, margins, loss, log_loss, pen_norm)
     if not math.isfinite(log_loss):
         raise TrainingDiverged(
             f"non-finite loss at iteration {T}", make_record(), T

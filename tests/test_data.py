@@ -73,6 +73,18 @@ def test_labels_and_noise_indices_consistent():
     assert np.array_equal(ds.signed_features, ds.labels[:, None] * ds.features)
 
 
+def test_signed_features_and_gram_are_computed_once():
+    ds = generate(_spec(eta=0.2, seed=12), 30)
+    z = ds.signed_features
+    assert z is ds.signed_features
+    assert ds.gram is ds.gram
+    assert not z.flags.writeable and not ds.gram.flags.writeable
+    # the row-by-row build agrees with the one-shot product to rounding
+    want = ds.labels[:, None] * ds.features
+    np.testing.assert_allclose(ds.gram, want @ want.T, rtol=1e-13, atol=1e-12)
+    np.testing.assert_array_equal(ds.gram[3], z @ z[3])
+
+
 def test_eta_zero_means_no_flips():
     ds = generate(_spec(eta=0.0, seed=3), 100)
     assert ds.noise_indices.size == 0

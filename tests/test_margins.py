@@ -174,6 +174,20 @@ def test_dual_certifies_euclidean_margins(d):
         assert res.iterations < 1000
 
 
+def test_stopping_gap_scales_with_large_margins():
+    # features scaled by 1e6 put the margins near 5e6, where rounding in the
+    # margins alone leaves gaps of ~1e-9, above the absolute default 1e-10
+    ds = _mixture(1000, seed=0)
+    big = _dataset(ds.features * 1e6, ds.labels)
+    results = [standard_margin(big, q=2.0)] + [
+        adversarial_margin(big, PerturbationModel(p=p, epsilon=0.1)) for p in (2.0, math.inf)
+    ]
+    for res in results:
+        assert res.value > 1e6
+        assert res.iterations < 500
+        assert 0.0 <= res.certificate_gap <= 1e-10 * abs(res.value)
+
+
 @pytest.mark.parametrize("d", [200, 1000])
 def test_certified_margins_monotone_in_epsilon(d):
     ds = _mixture(d, seed=d + 1)

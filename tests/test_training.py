@@ -408,3 +408,143 @@ def test_record_csv_round_trips(tmp_path):
         )
         assert float(parts[6]) == rec.train_errors[i]
         assert float(parts[7]) == rec.adv_train_errors[i]
+
+
+# ------------------------------------------------------ row space at q = 2
+
+
+def _theta_descent(ds, eps, alphas, theta0=None, record_every=10):
+    """Bare descent on theta at q = 2, recording what ``train`` records."""
+    z = ds.signed_features
+    mu = ds.spec.mu
+    theta = np.zeros(ds.d) if theta0 is None else theta0.copy()
+    T = len(alphas)
+    out = {key: [] for key in ("losses", "log_losses", "theta_l2", "alignments")}
+    snaps, margins_snap = [], []
+    for t in range(T + 1):
+        m = z @ theta
+        nrm = float(np.linalg.norm(theta))
+        w = np.exp(eps * nrm - m)
+        out["losses"].append(float(w.sum()))
+        out["log_losses"].append(float(logsumexp(-m)) + eps * nrm)
+        out["theta_l2"].append(nrm)
+        out["alignments"].append(float(mu @ theta) / nrm if nrm > 0 else math.nan)
+        if t in (0, 1, T) or t % record_every == 0:
+            snaps.append(theta)
+            margins_snap.append(m)
+        if t < T:
+            sub = theta / nrm if nrm > 0 else np.zeros_like(theta)
+            theta = theta - alphas[t] * (-(z.T @ w) + eps * float(w.sum()) * sub)
+    return {key: np.array(v) for key, v in out.items()}, snaps, margins_snap
+
+
+def _normwise(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("start", ["zero", "theta0"])
+@pytest.mark.parametrize("step_mode", ["constant", "scheduled"])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("d", [200, 1000])
+def test_row_space_path_matches_theta_descent(d, eps, step_mode, start):
+    # n = 20 rows (21 with theta0) < d: train() descends on row coefficients
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=d)
+    ds = generate(spec, 20)
+    theta0 = None
+    if start == "theta0":
+        theta0 = np.random.default_rng(d).standard_normal(d) / math.sqrt(d)
+    cfg = TrainConfig(
+        model=PerturbationModel(2.0, eps), step_mode=step_mode, alpha=5e-4, T=300,
+        record_every=25,
+    )
+    rec = train(ds, cfg, theta0)
+    want, snaps, margins_snap = _theta_descent(ds, eps, rec.alphas, theta0, 25)
+
+    assert rec.snapshot_ts == [0, 1] + list(range(25, 301, 25))
+    for key, ref in want.items():
+        # log-losses pass through zero, where only an absolute error means anything
+        atol = 1e-12 if key == "log_losses" else 0.0
+        np.testing.assert_allclose(getattr(rec, key), ref, rtol=1e-12, atol=atol, err_msg=key)
+    for got, ref in zip(rec.thetas, snaps):
+        if np.any(ref):
+            assert _normwise(got, ref) <= 1e-12
+        else:
+            np.testing.assert_array_equal(got, ref)
+    for got, ref in zip(rec.per_sample_margins, margins_snap):
+        if np.any(ref):
+            assert _normwise(got, ref) <= 1e-12
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_row_space_path_diverges_where_theta_descent_does():
+    # three rows in d = 8, two of them nearly opposed: a large step makes the
+    # weights overflow after a few iterations
+    feats = np.zeros((3, 8))
+    feats[0, 0], feats[1, :2], feats[2, 2] = 1.0, (-0.9, 0.1), 0.5
+    ds = _dataset(feats, [1.0, 1.0, 1.0])
+    eps, alpha, T = 0.1, 100.0, 50
+    cfg = TrainConfig(model=PerturbationModel(2.0, eps), alpha=alpha, T=T, record_every=1)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, cfg)
+
+    z = ds.signed_features
+    theta = np.zeros(8)
+    for stop in range(T):
+        nrm = lp_norm(theta, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(eps * nrm - z @ theta)
+            grad = -(z.T @ w) + eps * float(w.sum()) * (theta / nrm if nrm > 0 else 0.0)
+        if not np.all(np.isfinite(grad)):
+            break
+        theta = theta - alpha * grad
+    assert stop == 2
+    err = exc.value
+    assert err.iteration == stop
+    rec = err.record
+    assert rec.snapshot_ts == list(range(stop + 1))
+    assert len(rec.thetas) == len(rec.per_sample_margins) == stop + 1
+    assert np.all(np.isfinite(rec.losses[:stop])) and rec.losses[stop] == math.inf
+    assert np.all(np.isfinite(rec.log_losses[: stop + 1]))
+    assert np.all(np.isnan(rec.losses[stop + 1 :]))
+    assert np.all(rec.alphas[:stop] == alpha) and np.all(rec.alphas[stop:] == 0.0)
+    np.testing.assert_allclose(rec.thetas[-1], theta, rtol=1e-12)
+
+
+def test_theta_path_is_bitwise_where_the_row_space_does_not_apply():
+    # q = 2 with at least as many basis rows as dimensions, and q in {1, inf}
+    rng = np.random.default_rng(12)
+    cases = [
+        (_random_dataset(rng, 8, 6), 2.0, None),
+        (_random_dataset(rng, 5, 6), 2.0, rng.normal(size=6)),
+        (_random_dataset(rng, 5, 40), np.inf, None),
+        (_random_dataset(rng, 5, 40), 1.0, rng.normal(size=40) / math.sqrt(40)),
+    ]
+    for ds, p, theta0 in cases:
+        model = PerturbationModel(p, 0.1)
+        rec = train(ds, TrainConfig(model=model, alpha=1e-3, T=20, record_every=1), theta0)
+        theta = np.zeros(ds.d) if theta0 is None else theta0
+        for t in range(21):
+            np.testing.assert_array_equal(rec.thetas[t], theta)
+            assert rec.losses[t] == adversarial_loss(theta, ds, model)
+            theta = theta - 1e-3 * adversarial_loss_gradient(theta, ds, model)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_row_space_norm_is_overflow_safe(scale):
+    # c.Gc squares |theta|, so it leaves the floating range near 1e154 and
+    # 1e-154; the recorded norm must follow lp_norm(theta, 2) there
+    spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.0, seed=4)
+    ds = generate(spec, 8)
+    theta0 = np.full(20, scale)
+    model = PerturbationModel(2.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            rec = train(ds, TrainConfig(model=model, T=1), theta0=theta0)
+        except TrainingDiverged as exc:
+            rec = exc.record
+    assert rec.theta_l2[0] == pytest.approx(scale * math.sqrt(20), rel=1e-12, abs=0.0)
+    assert rec.log_losses[0] == pytest.approx(
+        adversarial_log_loss(theta0, ds, model), rel=1e-12
+    )
