@@ -222,14 +222,12 @@ def _row_space(ds, theta0: Optional[np.ndarray], mu: Optional[np.ndarray]):
     """
     z = ds.signed_features
     n = z.shape[0]
-    gram = ds.gram
     if theta0 is None:
-        c0 = np.zeros(n)
+        gram, c0 = ds.gram, np.zeros(n)
     else:
-        border = z @ theta0
         gram = np.empty((n + 1, n + 1))
         gram[:n, :n] = ds.gram
-        gram[:n, n] = gram[n, :n] = border
+        gram[:n, n] = gram[n, :n] = z @ theta0
         with np.errstate(over="ignore"):
             gram[n, n] = theta0 @ theta0
         c0 = np.zeros(n + 1)
