@@ -23,7 +23,7 @@ from .data import (
 from .experiments import config_from_mapping, load_config_file, run_figure
 from .lemmas import LEMMA_IDS, run_seed_batch, save_reports_csv
 from .margins import adversarial_margin, standard_margin
-from .norms import PerturbationModel
+from .norms import PerturbationModel, lp_norm
 from .risk import analytic_risk, monte_carlo_risk
 from .training import STEP_MODES, TrainConfig, save_record_csv, summed_step, train
 
@@ -132,7 +132,7 @@ def _cmd_gen(args) -> int:
     save_dataset_csv(ds, args.out)
     print(
         f"wrote {args.out}: n={ds.n} d={ds.d} flipped={len(ds.noise_indices)}"
-        f" mu_norm={np.linalg.norm(spec.mu):.6g}"
+        f" mu_norm={lp_norm(spec.mu, 2):.6g}"
     )
     return 0
 

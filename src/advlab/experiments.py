@@ -350,17 +350,12 @@ def _grid(cfg: ExperimentConfig) -> Iterable[tuple[int, float, float]]:
 
 
 def _aggregate(rows: list[SweepRow], gaussian: bool = True) -> list[dict]:
-    groups: dict[tuple, list[SweepRow]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[SweepRow]] = {}  # insertion order is first-seen order
     for row in rows:
         key = (row.d, row.n, row.eta, row.p, row.epsilon, row.r, row.t)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
     out = []
-    for key in order:
-        grp = groups[key]
+    for key, grp in groups.items():
         rec: dict = dict(zip(("d", "n", "eta", "p", "epsilon", "r", "t"), key))
         rec["seeds"] = len(grp)
         # two candidate "optimal risk" baselines: the flip rate alone, and
@@ -390,20 +385,10 @@ def _final_t(agg: list[dict]) -> int:
     return max(rec["t"] for rec in agg)
 
 
-def _panel_series(
-    agg: list[dict], x_key: str, curve_key: str, metric: str, fixed: dict
-) -> list[Series]:
+def _panel_series(agg: list[dict], x_key: str, curve_key: str, metric: str) -> list[Series]:
     series = []
-    curve_vals = sorted({rec[curve_key] for rec in agg})
-    for cv in curve_vals:
-        pts = [
-            rec
-            for rec in agg
-            if rec[curve_key] == cv and all(rec[k] == v for k, v in fixed.items())
-        ]
-        pts.sort(key=lambda rec: rec[x_key])
-        if not pts:
-            continue
+    for cv in sorted({rec[curve_key] for rec in agg}):
+        pts = sorted((rec for rec in agg if rec[curve_key] == cv), key=lambda rec: rec[x_key])
         series.append(
             Series(
                 label=f"{curve_key}={cv:g}" if isinstance(cv, float) else f"{curve_key}={cv}",
@@ -446,7 +431,7 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
         t_fin = _final_t(agg)
         finals = [rec for rec in agg if rec["t"] == t_fin]
         for letter, metric in zip("ab", ("std_risk", "adv_risk")):
-            series = _panel_series(finals, "d", "r", metric, fixed={})
+            series = _panel_series(finals, "d", "r", metric)
             path = outdir / f"{cfg.prefix}_{letter}.svg"
             write_line_plot(
                 str(path),
@@ -461,7 +446,7 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
     elif cfg.figure_id == "adv_risk_vs_t":
         metric = cfg.plot_metric
         pos = [rec for rec in agg if rec["t"] >= 1]
-        series = _panel_series(pos, "t", "epsilon", metric, fixed={})
+        series = _panel_series(pos, "t", "epsilon", metric)
         path = outdir / f"{cfg.prefix}_a.svg"
         write_line_plot(
             str(path),

@@ -198,7 +198,7 @@ def _check_alignment(ds: Dataset, rec: TrainRecord, c: float) -> LemmaReport:
     if ds.spec is None:
         raise ValueError("alignment check needs the generating spec for mu")
     mu = ds.spec.mu
-    mu_nrm = float(np.linalg.norm(mu))
+    mu_nrm = lp_norm(mu, 2)
     eps = rec.config.model.epsilon
     q = rec.config.model.q
     T = rec.T
@@ -244,7 +244,7 @@ def _check_subgradient(rec: TrainRecord) -> LemmaReport:
         tol_scale = max(1.0, nrm_q)
         errs = (
             abs(lp_norm(g, p) - 1.0),
-            max(0.0, float(np.linalg.norm(g)) - math.sqrt(d)),
+            max(0.0, lp_norm(g, 2) - math.sqrt(d)),
             abs(float(theta @ g) - nrm_q) / tol_scale,
         )
         e = max(errs)

@@ -99,7 +99,7 @@ def _dual_upper_bound(
     if eps > 0.0:
         # adversarial case: sphere_q == 2; distance from w to the eps-ball
         shift = project_onto_ball(w, dual_exponent(q), eps)
-        return float(np.linalg.norm(w - shift))
+        return lp_norm(w - shift, 2)
     return lp_norm(w, dual_exponent(sphere_q))
 
 

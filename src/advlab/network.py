@@ -11,6 +11,11 @@ from ``project_onto_ball``.  The attack tracks the best iterate seen, so with
 the default deterministic start from the clean point the attacked loss never
 falls below the clean loss.
 
+The attack is the only scoring pass of a network point: it returns the clean
+margins from its first pass and the margins at the returned iterates, which
+its best-iterate tracking already holds.  Training reads its loss and errors
+from them and evaluation its two risks, without calling ``forward`` again.
+
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
 """
@@ -34,7 +39,6 @@ from .norms import (
     PerturbationModel,
     _lp_norm_rows,
     dual_exponent,
-    lp_norm,
     norm_subgradient_rows,
     project_onto_ball,
 )
@@ -77,10 +81,6 @@ class TwoLayerNet:
             float(np.sum(self.W1**2) + np.sum(self.b1**2) + np.sum(self.w2**2))
             + self.b2**2
         )
-
-    def param_lq(self, q: float) -> float:
-        flat = np.concatenate([self.W1.ravel(), self.b1, self.w2, [self.b2]])
-        return lp_norm(flat, q)
 
     def copy(self) -> "TwoLayerNet":
         return TwoLayerNet(self.W1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2))
@@ -180,17 +180,29 @@ def _pgd_attack_batch(
     labels: np.ndarray,
     cfg: PgdConfig,
     rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Vectorized PGD over all rows; returns the best-seen iterates."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized PGD over all rows.
+
+    Returns the best-seen iterates, the clean margins y * f(x) and the
+    margins y * f at the returned iterates.  The margins come from the
+    attack's own scoring passes, so callers need no further forward pass.
+    """
     model = cfg.model
     eps = model.epsilon
-    if eps == 0.0 or cfg.steps == 0:
-        return feats.copy()
+    attacks = eps > 0.0 and cfg.steps > 0
+    # the clean pass feeds the first step only from a deterministic start
+    scores, grad = _score_and_input_ascent(
+        net, feats, labels, with_grad=attacks and not cfg.random_start
+    )
+    clean_margin = labels * scores
+    if not attacks:
+        return feats.copy(), clean_margin, clean_margin
     p = model.p
     q = dual_exponent(p)
     step = cfg.effective_step()
 
-    cur = feats.copy()
+    cur = feats
+    best_margin = clean_margin
     if cfg.random_start:
         if rng is None:
             rng = keyed_rng(0, STREAM_ATTACK)
@@ -202,9 +214,8 @@ def _pgd_attack_batch(
             delta = raw / _lp_norm_rows(raw, p)[:, None] * radii[:, None]
         cand = feats + delta
         cur = feats + project_onto_ball(cand - feats, p, eps)
-
-    scores, grad = _score_and_input_ascent(net, cur, labels)
-    best_margin = labels * scores
+        scores, grad = _score_and_input_ascent(net, cur, labels)
+        best_margin = labels * scores
     best = cur.copy()
 
     for k in range(cfg.steps):
@@ -216,7 +227,7 @@ def _pgd_attack_batch(
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
         best[better] = cur[better]
-    return best
+    return best, clean_margin, best_margin
 
 
 def pgd_attack(
@@ -229,10 +240,10 @@ def pgd_attack(
     """Adversarial example for one input; the best iterate the attack saw."""
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    out = _pgd_attack_batch(
+    best, _, _ = _pgd_attack_batch(
         net, np.asarray(x, dtype=float)[None, :], np.array([float(y)]), cfg, rng
     )
-    return out[0]
+    return best[0]
 
 
 @dataclass
@@ -243,7 +254,6 @@ class NetTrainLog:
     losses: np.ndarray
     log_losses: np.ndarray
     param_l2: np.ndarray
-    param_lq: np.ndarray
     train_errors: np.ndarray
     adv_train_errors: np.ndarray
 
@@ -268,25 +278,19 @@ def adv_train_nn(
     net = net.copy()
     feats = ds.features
     labels = ds.labels.astype(float)
-    q = pgd.model.q
     losses = np.full(epochs + 1, np.nan)
     log_losses = np.full(epochs + 1, np.nan)
     p_l2 = np.full(epochs + 1, np.nan)
-    p_lq = np.full(epochs + 1, np.nan)
     terr = np.full(epochs + 1, np.nan)
     aerr = np.full(epochs + 1, np.nan)
 
     for t in range(epochs + 1):
-        attacked = _pgd_attack_batch(net, feats, labels, pgd)
-        clean_scores = forward(net, feats)
-        adv_scores = forward(net, attacked)
+        attacked, clean_margins, margins = _pgd_attack_batch(net, feats, labels, pgd)
         with np.errstate(over="ignore"):
-            margins = labels * adv_scores
             losses[t] = float(np.sum(np.exp(-margins)))
         log_losses[t] = _log_exp_loss(margins)
         p_l2[t] = net.param_l2()
-        p_lq[t] = net.param_lq(q)
-        terr[t] = float(np.mean(labels * clean_scores < 0.0))
+        terr[t] = float(np.mean(clean_margins < 0.0))
         aerr[t] = float(np.mean(margins < 0.0))
         if not math.isfinite(log_losses[t]):
             raise RuntimeError(f"network training diverged at epoch {t}")
@@ -310,7 +314,6 @@ def adv_train_nn(
         losses=losses,
         log_losses=log_losses,
         param_l2=p_l2,
-        param_lq=p_lq,
         train_errors=terr,
         adv_train_errors=aerr,
     )
@@ -333,7 +336,7 @@ def evaluate_nn_risks(
     feats, obs, _ = _draw_test_block(spec, m, eval_seed)
     labels = obs.astype(float)
 
-    std = float(np.mean(labels * forward(net, feats) < 0.0))
-    attacked = _pgd_attack_batch(net, feats, labels, pgd)
-    adv = float(np.mean(labels * forward(net, attacked) < 0.0))
-    return RiskReport.monte_carlo(std, adv, m)
+    _, clean_margins, adv_margins = _pgd_attack_batch(net, feats, labels, pgd)
+    return RiskReport.monte_carlo(
+        float(np.mean(clean_margins < 0.0)), float(np.mean(adv_margins < 0.0)), m
+    )

@@ -277,7 +277,16 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     if p == 1.0:
         return _project_l1(v, radius)
     if p == 2.0:
-        nrm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        with np.errstate(over="ignore"):
+            sq = (v * v).sum(axis=-1, keepdims=True)
+        nrm = np.sqrt(sq)
+        # squares that overflow or underflow lose the norm: the nonzero rows
+        # among them take lp_norm's max-factored one
+        odd = np.flatnonzero(~((_SUMSQ_MIN < sq) & (sq < math.inf)))
+        if odd.size:
+            rows = v.reshape(sq.size, v.shape[-1])
+            odd = odd[rows[odd].any(axis=-1)]
+            nrm.reshape(-1)[odd] = _lp_norm_rows(rows[odd], 2.0)
         return v * (radius / np.maximum(nrm, radius))
     out = v.copy()
     for i in np.ndindex(v.shape[:-1]):

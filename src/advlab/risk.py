@@ -82,7 +82,7 @@ def analytic_risk(
             f"analytic risk requires gaussian noise, got {spec.noise_dist!r}"
         )
     theta = np.asarray(theta, dtype=float)
-    nrm2 = float(np.linalg.norm(theta))
+    nrm2 = lp_norm(theta, 2)
     if nrm2 == 0.0:
         raise ValueError("analytic risk is undefined at theta = 0")
     b = float(spec.mu @ theta) / nrm2

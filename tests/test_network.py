@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from advlab import network
 from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.network import (
     PgdConfig,
@@ -17,6 +18,7 @@ from advlab.network import (
     pgd_attack,
 )
 from advlab.norms import PerturbationModel, lp_norm
+from advlab.training import _log_exp_loss
 
 
 def _dataset(features, labels) -> Dataset:
@@ -230,6 +232,55 @@ def test_pgd_random_start_is_contained_and_reproducible():
         assert lp_norm(a - x, p) <= 0.2 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("random_start", [False, True])
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_pgd_batch_margins_rescore_clean_and_returned_points(p, random_start):
+    """The attack's margins are y * forward at the clean rows and at its iterates."""
+    rng = np.random.default_rng(12)
+    net = init_network(d=7, h=9, seed=4)
+    feats = rng.normal(size=(25, 7))
+    labels = rng.choice([-1.0, 1.0], size=25)
+    cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=6, random_start=random_start)
+    best, clean, adv = network._pgd_attack_batch(
+        net, feats, labels, cfg, rng=np.random.default_rng(3)
+    )
+    # with a random start the clean margins still belong to the clean point
+    np.testing.assert_array_equal(clean, labels * forward(net, feats))
+    np.testing.assert_array_equal(adv, labels * forward(net, best))
+    assert np.any(adv < clean)
+    if not random_start:
+        assert np.all(adv <= clean)
+
+
+def test_pgd_batch_without_budget_returns_clean_margins_twice():
+    rng = np.random.default_rng(13)
+    net = init_network(d=4, h=5, seed=1)
+    feats = rng.normal(size=(6, 4))
+    labels = rng.choice([-1.0, 1.0], size=6)
+    for cfg in (
+        PgdConfig(model=PerturbationModel(2.0, 0.0)),
+        PgdConfig(model=PerturbationModel(2.0, 0.2), steps=0),
+    ):
+        best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+        np.testing.assert_array_equal(best, feats)
+        np.testing.assert_array_equal(clean, labels * forward(net, feats))
+        np.testing.assert_array_equal(adv, clean)
+
+
+def _spy_on_attack(monkeypatch) -> list:
+    """Record (network copy, clean rows, labels, returned iterates) per attack."""
+    calls = []
+    attack = network._pgd_attack_batch
+
+    def spy(net, feats, labels, cfg, rng=None):
+        out = attack(net, feats, labels, cfg, rng)
+        calls.append((net.copy(), feats.copy(), labels.copy(), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(network, "_pgd_attack_batch", spy)
+    return calls
+
+
 def test_pgd_config_default_step():
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.4), steps=10)
     assert cfg.effective_step() == pytest.approx(0.1)
@@ -286,6 +337,38 @@ def test_adv_train_nn_learns_a_separable_problem():
     assert log.param_l2[-1] > 0.0
     # the original network object is untouched
     assert not np.array_equal(net.W1, net0.W1)
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_adv_train_nn_log_equals_rescoring_with_forward(monkeypatch, p):
+    spec = MixtureSpec(d=12, mu=mu_from_scaling(12, 0.4), eta=0.1, seed=5)
+    ds = generate(spec, 24)
+    cfg = PgdConfig(model=PerturbationModel(p, 0.1), steps=4)
+    calls = _spy_on_attack(monkeypatch)
+    _, log = adv_train_nn(ds, init_network(d=12, h=6, seed=3), cfg, epochs=15, lr=1e-2)
+    assert len(calls) == 16
+    labels = ds.labels.astype(float)
+    for t, (net, feats, _, attacked) in enumerate(calls):
+        np.testing.assert_array_equal(feats, ds.features)
+        clean = labels * forward(net, feats)
+        adv = labels * forward(net, attacked)
+        assert log.losses[t] == float(np.sum(np.exp(-adv)))
+        assert log.log_losses[t] == _log_exp_loss(adv)
+        assert log.train_errors[t] == float(np.mean(clean < 0.0))
+        assert log.adv_train_errors[t] == float(np.mean(adv < 0.0))
+    assert log.train_errors[0] > 0.0 and log.adv_train_errors[0] > log.train_errors[0]
+
+
+def test_evaluate_nn_risks_equal_rescoring_with_forward(monkeypatch):
+    spec = MixtureSpec(d=10, mu=mu_from_scaling(10, 0.3), eta=0.1, seed=6)
+    net = init_network(d=10, h=8, seed=2)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.2), steps=5)
+    calls = _spy_on_attack(monkeypatch)
+    rep = evaluate_nn_risks(net, spec, cfg, m=500)
+    ((_, feats, labels, attacked),) = calls
+    assert rep.std_risk == float(np.mean(labels * forward(net, feats) < 0.0))
+    assert rep.adv_risk == float(np.mean(labels * forward(net, attacked) < 0.0))
+    assert rep.adv_risk > rep.std_risk
 
 
 def test_evaluate_nn_risks_bounds_and_dominance():

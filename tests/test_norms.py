@@ -237,6 +237,39 @@ def test_project_onto_ball_rows_match_one_row_projections():
                 assert 0 < inside.sum() < len(v)
 
 
+@pytest.mark.parametrize(
+    "v, radius, want",
+    [
+        ([1e200, 1e200], 1.0, [math.sqrt(0.5), math.sqrt(0.5)]),
+        ([3e-170, 4e-170], 1e-170, [6e-171, 8e-171]),
+        ([3e200, -4e200], 1e200, [0.6e200, -0.8e200]),
+        ([3e-200, 4e-200], 1e-300, [6e-301, 8e-301]),
+    ],
+)
+def test_project_onto_l2_ball_at_extreme_scales(v, radius, want):
+    """Squares that overflow or underflow must not hide the row's l2 norm."""
+    w = project_onto_ball(np.array(v), 2.0, radius)
+    np.testing.assert_allclose(w, want, rtol=1e-15)
+
+
+def test_project_onto_l2_ball_mixed_scale_rows():
+    """Rows out of the squares' range get the safe norm; the rest stay bitwise."""
+    r = 1e-145
+    plain = np.array([[3.0, 4.0], [0.3, 0.1], [0.0, 0.0]])
+    v = np.vstack([plain, [[2e154, -2e154], [0.0, 0.0], [3e-145, 4e-145], [1e-200, 0.0]]])
+    w = project_onto_ball(v, 2.0, r)
+    np.testing.assert_array_equal(w[:3], project_onto_ball(plain, 2.0, r))
+    np.testing.assert_allclose(w[3], [r * math.sqrt(0.5), -r * math.sqrt(0.5)], rtol=1e-15)
+    np.testing.assert_array_equal(w[4], [0.0, 0.0])
+    np.testing.assert_allclose(w[5], [0.6 * r, 0.8 * r], rtol=1e-15)
+    np.testing.assert_array_equal(w[6], v[6])  # inside the ball
+    # in range, the norm is sqrt(row . row) exactly as before
+    nrm = np.sqrt((plain * plain).sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(
+        project_onto_ball(plain, 2.0, 0.5), plain * (0.5 / np.maximum(nrm, 0.5))
+    )
+
+
 def test_project_onto_ball_feasible_and_closest():
     """Projection beats every sampled feasible point in Euclidean distance."""
     rng = np.random.default_rng(7)

@@ -102,6 +102,19 @@ def test_analytic_risk_scale_invariant():
         assert rep.adv_risk == pytest.approx(base.adv_risk, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_analytic_risk_scale_invariant_at_extreme_scales(scale):
+    """theta's l2 norm must neither overflow nor underflow to 0."""
+    spec = _spec(np.full(20, 0.3), eta=0.1)
+    for p in (2.0, math.inf):
+        model = PerturbationModel(p, 0.05)
+        base = analytic_risk(np.ones(20), spec, model)
+        rep = analytic_risk(np.full(20, scale), spec, model)
+        assert rep.std_risk == pytest.approx(base.std_risk, rel=1e-12)
+        assert rep.adv_risk == pytest.approx(base.adv_risk, rel=1e-12)
+        assert rep.adv_risk > rep.std_risk
+
+
 def test_analytic_adv_risk_monotone_in_epsilon():
     rng = np.random.default_rng(2)
     mu = rng.normal(size=5)
