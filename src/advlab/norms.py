@@ -261,8 +261,9 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Euclidean projection of each row of v onto {u : ||u||_p <= radius}.
 
     A 1-d v is the one-row case.  Exact closed forms for p in {1, 2, inf}
-    act on all rows at once; other finite p runs the KKT bisection (tolerance
-    1e-10) on each row outside the ball.  radius = 0 returns zeros.
+    act on all rows at once (the l2 row norms are as overflow-safe as
+    ``lp_norm``); other finite p runs the KKT bisection (tolerance 1e-10) on
+    each row outside the ball.  radius = 0 returns zeros.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -280,10 +281,11 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             sq = (v * v).sum(axis=-1, keepdims=True)
         nrm = np.sqrt(sq)
-        # squares that overflow or underflow lose the norm: the nonzero rows
-        # among them take lp_norm's max-factored one
-        odd = np.flatnonzero(~((_SUMSQ_MIN < sq) & (sq < math.inf)))
-        if odd.size:
+        # squares that overflow, or underflow while the ball is as small as the
+        # row, lose the norm: the nonzero rows among them take lp_norm's
+        # max-factored one.  Underflowed rows lie inside a larger ball as is.
+        if not math.isfinite(nrm.sum()) or radius * radius <= _SUMSQ_MIN:
+            odd = np.flatnonzero(~((_SUMSQ_MIN < sq) & (sq < math.inf)))
             rows = v.reshape(sq.size, v.shape[-1])
             odd = odd[rows[odd].any(axis=-1)]
             nrm.reshape(-1)[odd] = _lp_norm_rows(rows[odd], 2.0)

@@ -244,6 +244,7 @@ def test_project_onto_ball_rows_match_one_row_projections():
         ([3e-170, 4e-170], 1e-170, [6e-171, 8e-171]),
         ([3e200, -4e200], 1e200, [0.6e200, -0.8e200]),
         ([3e-200, 4e-200], 1e-300, [6e-301, 8e-301]),
+        ([3e-150, 4e-150], 1.0, [3e-150, 4e-150]),
     ],
 )
 def test_project_onto_l2_ball_at_extreme_scales(v, radius, want):
