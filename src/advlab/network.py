@@ -9,12 +9,9 @@ back onto the ball.  Each step is one batched call for all rows: the
 steepest-ascent direction from ``norm_subgradient_rows`` and the projection
 from ``project_onto_ball``.  The attack tracks the best iterate seen, so with
 the default deterministic start from the clean point the attacked loss never
-falls below the clean loss.
-
-The attack is the only scoring pass of a network point: it returns the clean
-margins from its first pass and the margins at the returned iterates, which
-its best-iterate tracking already holds.  Training reads its loss and errors
-from them and evaluation its two risks, without calling ``forward`` again.
+falls below the clean loss.  It is the only scoring pass of a network point:
+training and evaluation read their losses, errors and risks from the clean
+margins of its first pass and the margins its best-iterate tracking holds.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
@@ -181,11 +178,8 @@ def _pgd_attack_batch(
     cfg: PgdConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized PGD over all rows.
-
-    Returns the best-seen iterates, the clean margins y * f(x) and the
-    margins y * f at the returned iterates.  The margins come from the
-    attack's own scoring passes, so callers need no further forward pass.
+    """Vectorized PGD over all rows: the best-seen iterates, the clean margins
+    y * f(x) from the attack's first pass, and y * f at the returned iterates.
     """
     model = cfg.model
     eps = model.epsilon
