@@ -96,23 +96,11 @@ def test_analytic_risk_scale_invariant():
     model = PerturbationModel(1.5, 0.2)
     theta = rng.normal(size=4)
     base = analytic_risk(theta, spec, model)
-    for c in (1e-6, 3.0, 1e6):
+    # the extreme scales overflow and underflow the squares of theta
+    for c in (1e-170, 1e-6, 3.0, 1e6, 1e160):
         rep = analytic_risk(c * theta, spec, model)
         assert rep.std_risk == pytest.approx(base.std_risk, rel=1e-12)
         assert rep.adv_risk == pytest.approx(base.adv_risk, rel=1e-12)
-
-
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
-def test_analytic_risk_scale_invariant_at_extreme_scales(scale):
-    """theta's l2 norm must neither overflow nor underflow to 0."""
-    spec = _spec(np.full(20, 0.3), eta=0.1)
-    for p in (2.0, math.inf):
-        model = PerturbationModel(p, 0.05)
-        base = analytic_risk(np.ones(20), spec, model)
-        rep = analytic_risk(np.full(20, scale), spec, model)
-        assert rep.std_risk == pytest.approx(base.std_risk, rel=1e-12)
-        assert rep.adv_risk == pytest.approx(base.adv_risk, rel=1e-12)
-        assert rep.adv_risk > rep.std_risk
 
 
 def test_analytic_adv_risk_monotone_in_epsilon():
