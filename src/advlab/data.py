@@ -50,7 +50,6 @@ _MASK64 = (1 << 64) - 1
 STREAM_EVAL = (1 << 48) + 1
 STREAM_NET_INIT = (1 << 48) + 2
 STREAM_ATTACK = (1 << 48) + 3
-STREAM_LINEAR_INIT = (1 << 48) + 4
 
 
 def keyed_rng(seed: int, stream: int) -> np.random.Generator:

@@ -25,15 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .data import (
-    STREAM_LINEAR_INIT,
-    Dataset,
-    MixtureSpec,
-    generate,
-    keyed_rng,
-    mu_from_scaling,
-    write_csv,
-)
+from .data import Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
 from .margins import adversarial_margin, standard_margin
 from .network import (
     PgdConfig,
@@ -106,7 +98,6 @@ class ExperimentConfig:
     base_seed: int = 0
     eval: str = "analytic"
     mc_samples: int = 2000
-    init_mode: str = "zero"
     margins: bool = True
     margin_iters: int = 1000
     h: int = 32
@@ -115,17 +106,12 @@ class ExperimentConfig:
     pgd_steps: int = 10
     output_dir: str = "."
     xlog: bool = True
-    plot_metric: str = "adv_risk"
 
     def __post_init__(self) -> None:
         if self.figure_id not in FIGURE_IDS:
             raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {self.figure_id!r}")
         if self.eval not in ("analytic", "monte_carlo"):
             raise ValueError(f"eval must be 'analytic' or 'monte_carlo', got {self.eval!r}")
-        if self.init_mode not in ("zero", "gaussian_scaled"):
-            raise ValueError(
-                f"init_mode must be 'zero' or 'gaussian_scaled', got {self.init_mode!r}"
-            )
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
 
@@ -276,11 +262,7 @@ def _linear_rows(
         T=cfg.T,
         record_every=cfg.record_every,
     )
-    theta0 = None
-    if cfg.init_mode == "gaussian_scaled":
-        rng = keyed_rng(seed, STREAM_LINEAR_INIT)
-        theta0 = rng.standard_normal(d) / math.sqrt(d)
-    rec = train(ds, tc, theta0=theta0)
+    rec = train(ds, tc)
     if cfg.margins and not solve_adv:
         shared["margin_adv"] = rec.adv_margin
 
@@ -444,7 +426,7 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
             )
             written[f"panel_{letter}"] = str(path)
     elif cfg.figure_id == "adv_risk_vs_t":
-        metric = cfg.plot_metric
+        metric = "adv_risk"
         pos = [rec for rec in agg if rec["t"] >= 1]
         series = _panel_series(pos, "t", "epsilon", metric)
         path = outdir / f"{cfg.prefix}_a.svg"

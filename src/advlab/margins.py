@@ -85,6 +85,11 @@ def _tolerance(value: float, gap_tol: float) -> float:
     return gap_tol * max(1.0, abs(value)) if math.isfinite(value) else gap_tol
 
 
+def _residual(w: np.ndarray, ball_p: float, eps: float) -> np.ndarray:
+    """w minus its projection onto the eps-ball of the ball_p-norm (w itself at eps = 0)."""
+    return w - project_onto_ball(w, ball_p, eps) if eps > 0.0 else w
+
+
 def _dual_upper_bound(
     z: np.ndarray, lam: np.ndarray, eps: float, q: float, sphere_q: float
 ) -> float:
@@ -95,12 +100,8 @@ def _dual_upper_bound(
     optimum by ||.||-duality.  Always valid, tight at the optimum when the
     optimum is nonnegative.
     """
-    w = lam @ z
-    if eps > 0.0:
-        # adversarial case: sphere_q == 2; distance from w to the eps-ball
-        shift = project_onto_ball(w, dual_exponent(q), eps)
-        return lp_norm(w - shift, 2)
-    return lp_norm(w, dual_exponent(sphere_q))
+    # eps > 0 only on the Euclidean sphere, where this is the distance to the eps-ball
+    return lp_norm(_residual(lam @ z, dual_exponent(q), eps), dual_exponent(sphere_q))
 
 
 def _normalize(theta: np.ndarray, sphere_q: float) -> np.ndarray | None:
@@ -187,10 +188,6 @@ def _solve_dual(
     """
     n = z.shape[0]
     ball_p = dual_exponent(pen_q)
-
-    def residual(w: np.ndarray) -> np.ndarray:
-        return w - project_onto_ball(w, ball_p, eps) if eps > 0.0 else w
-
     row_sq = np.einsum("ij,ij->i", z, z)
     lip, lip_max = float(row_sq.max()), float(row_sq.sum())
     x = np.full(n, 1.0 / n)
@@ -203,7 +200,7 @@ def _solve_dual(
     it = 0
     while it < max_iter:
         it += 1
-        grad = z @ residual(wy)
+        grad = z @ _residual(wy, ball_p, eps)
         while True:
             xn = _project_simplex(y - grad / lip)
             wn = xn @ z
@@ -211,7 +208,7 @@ def _solve_dual(
             if lip >= lip_max or not float(dw @ dw) > lip * float(dx @ dx):
                 break
             lip = min(2.0 * lip, lip_max)
-        r = residual(wn)
+        r = _residual(wn, ball_p, eps)
         dist = math.sqrt(float(r @ r))
         upper = min(upper, dist)
         if dist > 0.0:

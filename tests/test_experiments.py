@@ -80,8 +80,6 @@ def test_config_validation():
         ExperimentConfig(figure_id="nope")
     with pytest.raises(ValueError, match="eval"):
         ExperimentConfig(eval="guess")
-    with pytest.raises(ValueError, match="init_mode"):
-        ExperimentConfig(init_mode="ones")
     with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig(seeds=0)
 
