@@ -155,9 +155,7 @@ def _cmd_train(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         save_record_csv(rec, str(outdir / "record.csv"))
-        with open(outdir / "theta.csv", "w") as fh:
-            for v in theta:
-                fh.write(f"{v:.17g}\n")
+        np.savetxt(outdir / "theta.csv", theta, fmt="%.17g")
         print(f"wrote {outdir / 'record.csv'} and {outdir / 'theta.csv'}")
     return 0
 

@@ -15,7 +15,6 @@ the package.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -240,40 +239,31 @@ def check_assumptions(
 
 
 def save_dataset_csv(ds: Dataset, path: str) -> None:
-    """Write ``y,clean_y,x_0,...,x_{d-1}`` rows; floats keep 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "clean_y"] + [f"x_{j}" for j in range(ds.d)])
-        for k in range(ds.n):
-            writer.writerow(
-                [int(ds.labels[k]), int(ds.clean_labels[k])]
-                + [f"{v:.17g}" for v in ds.features[k]]
-            )
+    """Write ``y,clean_y,x_0,...,x_{d-1}`` rows through ``write_csv``."""
+    rows = zip(ds.labels.tolist(), ds.clean_labels.tolist(), ds.features.tolist())
+    write_csv(
+        path,
+        ["y", "clean_y"] + [f"x_{j}" for j in range(ds.d)],
+        ([y, c, *x] for y, c, x in rows),
+    )
 
 
 def load_dataset_csv(path: str, spec: Optional[MixtureSpec] = None) -> Dataset:
     """Read a dataset written by ``save_dataset_csv``; round-trips bit-exactly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
         if header[:2] != ["y", "clean_y"]:
             raise ValueError(f"unexpected header {header[:2]!r} in {path}")
-        d = len(header) - 2
-        labels, clean, rows = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            labels.append(int(row[0]))
-            clean.append(int(row[1]))
-            rows.append([float(v) for v in row[2 : 2 + d]])
-    feats = np.asarray(rows, dtype=float).reshape(len(rows), d)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    clean_arr = np.asarray(clean, dtype=np.int64)
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {table.shape[1]} columns, header {len(header)}")
+    labels = table[:, 0].astype(np.int64)
+    clean = table[:, 1].astype(np.int64)
     return Dataset(
-        features=feats,
-        labels=labels_arr,
-        clean_labels=clean_arr,
-        noise_indices=np.nonzero(labels_arr != clean_arr)[0],
+        features=np.ascontiguousarray(table[:, 2:]),
+        labels=labels,
+        clean_labels=clean,
+        noise_indices=np.nonzero(labels != clean)[0],
         spec=spec,
     )
 

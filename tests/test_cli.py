@@ -111,7 +111,7 @@ def test_train_alpha_is_averaged_loss_step(tmp_path, capsys):
         generate(spec, 10),
         TrainConfig(model=PerturbationModel(2.0, 0.05), alpha=2e-3 / 10, T=5),
     )
-    np.testing.assert_allclose(theta, rec.final_theta(), rtol=1e-15)
+    np.testing.assert_array_equal(theta, rec.final_theta())
 
 
 def test_lemmas_alpha_is_averaged_loss_step(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Mixture generator: determinism, coupling correctness, noise statistics,
 high-dimensional sample geometry, CSV export, and the regime report."""
 
+import csv
 import math
 import os
 
@@ -185,15 +186,48 @@ def test_csv_round_trip(tmp_path):
     spec = _spec(d=7, eta=0.2, seed=23)
     ds = generate(spec, 25)
     path = os.path.join(tmp_path, "mix.csv")
+    header = ["y", "clean_y"] + [f"x_{j}" for j in range(7)]
     save_dataset_csv(ds, path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-    assert header == "y,clean_y," + ",".join(f"x_{j}" for j in range(7))
+    with open(path, "rb") as fh:
+        text = fh.read()
+    assert text.startswith((",".join(header) + "\n").encode()) and b"\r" not in text
     back = load_dataset_csv(path, spec=spec)
-    assert np.array_equal(back.features, ds.features)
+    assert back.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.clean_labels, ds.clean_labels)
     assert np.array_equal(back.noise_indices, ds.noise_indices)
+
+    # extremes: the smallest subnormal, negative zero, the largest floats, 1/3
+    big = 1.7976931348623157e308
+    edge = np.array([[5e-324, -0.0, big], [-big, 1 / 3, 0.0]])
+    hand = Dataset(
+        features=edge,
+        labels=np.array([1, -1]),
+        clean_labels=np.array([1, 1]),
+        noise_indices=np.array([1]),
+    )
+    save_dataset_csv(hand, path)
+    back = load_dataset_csv(path)
+    assert back.features.tobytes() == edge.tobytes()
+    assert np.array_equal(back.labels, hand.labels)
+    assert np.array_equal(back.noise_indices, hand.noise_indices)
+
+    # the earlier csv.writer format (CRLF line ends, 17 significant digits) still loads
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for y, c, x in zip(ds.labels, ds.clean_labels, ds.features):
+            writer.writerow([int(y), int(c)] + [f"{v:.17g}" for v in x])
+    old = load_dataset_csv(path, spec=spec)
+    assert old.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(old.labels, ds.labels)
+    assert np.array_equal(old.clean_labels, ds.clean_labels)
+
+    # rows wider than the header are rejected
+    with open(path, "w") as fh:
+        fh.write("y,clean_y,x_0\n1,1,0.5,0.25\n")
+    with pytest.raises(ValueError, match="columns"):
+        load_dataset_csv(path)
 
 
 def test_check_assumptions_arithmetic_and_separability():
