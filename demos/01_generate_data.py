@@ -6,6 +6,9 @@ points along the all-ones direction with norm d**r, so r controls how much
 signal survives the d-dimensional noise.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from advlab import (
@@ -14,6 +17,7 @@ from advlab import (
     check_assumptions,
     generate,
     geometry_constant,
+    load_dataset_csv,
     mu_from_scaling,
     save_dataset_csv,
 )
@@ -36,5 +40,7 @@ print(
     " the theory regime is far more overparameterized than this demo)"
 )
 
-save_dataset_csv(ds, "/tmp/advlab_demo_dataset.csv")
-print("wrote /tmp/advlab_demo_dataset.csv (y,clean_y,x_0,...) for external tools")
+path = str(Path(tempfile.gettempdir()) / "advlab_demo_dataset.csv")
+save_dataset_csv(ds, path)
+assert load_dataset_csv(path).features.tobytes() == ds.features.tobytes()
+print(f"wrote {path} (y,clean_y,x_0,...) for external tools; it reloads bit-exactly")

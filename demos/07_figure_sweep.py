@@ -8,11 +8,12 @@ protocol (d=1000, 10 seeds, T=1000) is what the acceptance suite runs;
 this demo shrinks the grid to finish in seconds.
 """
 
+import tempfile
 from pathlib import Path
 
 from advlab import ExperimentConfig, run_figure
 
-outdir = Path("/tmp/advlab_demo_figure")
+outdir = Path(tempfile.gettempdir()) / "advlab_demo_figure"
 cfg = ExperimentConfig(
     figure_id="risk_vs_d",
     name="benign_demo",
