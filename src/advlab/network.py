@@ -7,8 +7,12 @@ moves along the steepest-ascent direction of the per-sample loss in lp
 geometry (the dual-norm subgradient of the input gradient) and is projected
 back onto the ball.  Each step is one batched call for all rows: the
 steepest-ascent direction from ``norm_subgradient_rows`` and the projection
-from ``project_onto_ball``.  The attack tracks the best iterate seen, so with
-the default deterministic start from the clean point the attacked loss never
+from ``project_onto_ball``.  The l2 attack from the clean point runs on row
+coefficients instead when the net has fewer hidden units than inputs: its
+steps are combinations of W1's rows, so each iterate is x + C W1 with C one
+h-vector per input, and the steps and projections need only C and the h x h
+Gram matrix W1 W1^T.  The attack tracks the best iterate seen, so with the
+default deterministic start from the clean point the attacked loss never
 falls below the clean loss.  It is the only scoring pass of a network point:
 training and evaluation read their losses, errors and risks from the clean
 margins of its first pass and the margins its best-iterate tracking holds.
@@ -180,10 +184,17 @@ def _pgd_attack_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized PGD over all rows: the best-seen iterates, the clean margins
     y * f(x) from the attack's first pass, and y * f at the returned iterates.
+
+    The l2 attack from the clean point (p = 2, no random start, a nonzero
+    budget) on a net with h < d hidden units runs on the n x h row
+    coefficients of ``_pgd_l2_row_space``; every other attack runs the loop
+    below on the n x d iterates.
     """
     model = cfg.model
     eps = model.epsilon
     attacks = eps > 0.0 and cfg.steps > 0
+    if attacks and model.p == 2.0 and not cfg.random_start and net.h < net.d:
+        return _pgd_l2_row_space(net, feats, labels, eps, cfg.steps, cfg.effective_step())
     # the clean pass feeds the first step only from a deterministic start
     scores, grad = _score_and_input_ascent(
         net, feats, labels, with_grad=attacks and not cfg.random_start
@@ -222,6 +233,61 @@ def _pgd_attack_batch(
         best_margin = np.where(better, margin, best_margin)
         best[better] = cur[better]
     return best, clean_margin, best_margin
+
+
+def _pgd_l2_row_space(
+    net: TwoLayerNet,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    eps: float,
+    steps: int,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The l2 attack from the clean point, run on row coefficients.
+
+    The input gradient of -y*score is A W1 with A = -y * (mask * w2), so from
+    delta = 0 every step and every l2 rescale keeps delta = C W1 for an n x h
+    matrix C.  With K = W1 W1^T the pre-activations are u0 + C K, the ascent
+    step is A / sqrt(a K a^T) row by row and the projection rescales C by
+    eps / max(sqrt(c K c^T), eps); C K is carried along with C, so a step
+    costs O(n h^2) instead of O(n h d).  The best coefficients are turned
+    into inputs once, projected onto the ball in input space and rescored as
+    ``forward`` scores them, and a row whose rescored margin is not below its
+    clean one returns the clean point.  The projection matters only where
+    A W1 nearly cancels (W1 rows nearly parallel, with w2 weights of opposite
+    sign): there a K a^T loses its digits to rounding, and the coefficient
+    norms no longer bound the step or the iterate.
+    """
+    W1, w2 = net.W1, net.w2
+    K = W1 @ W1.T
+    u0 = feats @ W1.T + net.b1
+    clean_margin = labels * (np.maximum(u0, 0.0) @ w2 + net.b2)
+    C = CK = np.zeros((feats.shape[0], net.h))
+    best_C = C.copy()
+    best_margin = clean_margin
+    u = u0
+    for _ in range(steps):
+        A = (-labels)[:, None] * ((u > 0.0) * w2)
+        AK = A @ K
+        sq = np.einsum("ij,ij->i", A, AK)
+        # a row whose input gradient vanishes does not move
+        t = (step / np.sqrt(np.where(sq > 0.0, sq, 1.0)) * (sq > 0.0))[:, None]
+        C = C + t * A
+        CK = CK + t * AK
+        shrink = (eps / np.maximum(np.sqrt(np.einsum("ij,ij->i", C, CK)), eps))[:, None]
+        C = C * shrink
+        CK = CK * shrink
+        u = u0 + CK
+        margin = labels * (np.maximum(u, 0.0) @ w2 + net.b2)
+        better = margin < best_margin
+        best_margin = np.where(better, margin, best_margin)
+        best_C[better] = C[better]
+    best = feats + project_onto_ball(best_C @ W1, 2.0, eps)
+    scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
+    margin = labels * scores
+    stayed = ~(margin < clean_margin)
+    best[stayed] = feats[stayed]
+    return best, clean_margin, np.where(stayed, clean_margin, margin)
 
 
 def pgd_attack(

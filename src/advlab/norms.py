@@ -34,6 +34,8 @@ __all__ = [
 # sqrt(v . v) is accurate while v . v lies in (_SUMSQ_MIN, inf): squares that
 # round into subnormals are each off by at most 2**-1075, far below its ulp
 _SUMSQ_MIN = 1e-280
+# smallest normal float64: below it a scale factor keeps fewer digits
+_TINY = np.finfo(float).tiny
 
 
 def dual_exponent(p: float) -> float:
@@ -285,11 +287,17 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
         # squares that overflow, or underflow while the ball is as small as the
         # row, lose the norm: the nonzero rows among them take lp_norm's
         # max-factored one.  Underflowed rows lie inside a larger ball as is.
+        # Only here can radius / nrm leave the normal range (it needs a row
+        # norm past ~1e308 radii); those rows divide first, so only the result
+        # can underflow.
         if not math.isfinite(nrm.sum()) or radius * radius <= _SUMSQ_MIN:
             odd = np.flatnonzero(~((_SUMSQ_MIN < nrm * nrm) & (nrm < math.inf)))
             rows = v.reshape(nrm.size, v.shape[-1])
             odd = odd[rows[odd].any(axis=-1)]
             nrm.reshape(-1)[odd] = _lp_norm_rows(rows[odd], 2.0)
+            nrm = np.maximum(nrm, radius)
+            scale = radius / nrm
+            return np.where(scale < _TINY, v / nrm * radius, v * scale)
         return v * (radius / np.maximum(nrm, radius))
     out = v.copy()
     for i in np.ndindex(v.shape[:-1]):

@@ -17,7 +17,7 @@ from advlab.network import (
     loss_and_gradients,
     pgd_attack,
 )
-from advlab.norms import PerturbationModel, lp_norm
+from advlab.norms import PerturbationModel, lp_norm, norm_subgradient_rows, project_onto_ball
 from advlab.training import _log_exp_loss
 
 
@@ -265,6 +265,132 @@ def test_pgd_batch_without_budget_returns_clean_margins_twice():
         np.testing.assert_array_equal(best, feats)
         np.testing.assert_array_equal(clean, labels * forward(net, feats))
         np.testing.assert_array_equal(adv, clean)
+
+
+def _dense_l2_attack(net, feats, labels, eps, steps):
+    """Reference: the l2 attack from the clean point, stepped on the n x d iterates."""
+    step = 2.5 * eps / steps
+
+    def score(x):
+        u = x @ net.W1.T + net.b1
+        grad = (-labels)[:, None] * (((u > 0.0) * net.w2) @ net.W1)
+        return labels * (np.maximum(u, 0.0) @ net.w2 + net.b2), grad
+
+    best_margin, grad = score(feats)
+    best, cur = feats.copy(), feats
+    for _ in range(steps):
+        cand = cur + step * norm_subgradient_rows(grad, 2.0)
+        cur = feats + project_onto_ball(cand - feats, 2.0, eps)
+        margin, grad = score(cur)
+        better = margin < best_margin
+        best_margin = np.where(better, margin, best_margin)
+        best[better] = cur[better]
+    return best
+
+
+def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8):
+    cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=steps)
+    best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+    ref = _dense_l2_attack(net, feats, labels, eps, steps)
+    assert np.all(np.isfinite(best))
+    gap = np.linalg.norm(best - ref, axis=1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=1))
+    np.testing.assert_array_equal(clean, labels * forward(net, feats))
+    np.testing.assert_array_equal(adv, labels * forward(net, best))
+    assert np.all(adv <= clean)
+    assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
+    return adv, clean
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_pgd_l2_row_space_matches_dense_attack(n):
+    """At h < d the l2 attack runs on row coefficients and agrees with stepping x."""
+    rng = np.random.default_rng(14)
+    net = init_network(d=30, h=8, seed=6)
+    net.b1 = rng.normal(size=8) * 0.1
+    feats = rng.normal(size=(n, 30))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels)
+    assert np.any(adv < clean)
+
+
+def test_pgd_l2_row_space_with_zero_and_repeated_rows():
+    rng = np.random.default_rng(15)
+    net = init_network(d=12, h=6, seed=8)
+    net.W1[0] = 0.0
+    net.W1[3] = net.W1[2]
+    feats = rng.normal(size=(40, 12))
+    labels = rng.choice([-1.0, 1.0], size=40)
+    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels)
+    assert np.any(adv < clean)
+
+
+def test_pgd_l2_row_space_stays_in_ball_when_rows_nearly_cancel():
+    """Nearly equal rows with opposite output weights: a K a^T is rounding
+    noise, yet every returned point lies in the ball and is scored truly."""
+    rng = np.random.default_rng(18)
+    eps = 0.3
+    cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=10)
+    for _ in range(30):
+        W1 = rng.normal(size=(4, 10))
+        W1[1] = W1[0] * (1 + 10.0 ** rng.uniform(-12, -4))
+        net = TwoLayerNet(
+            W1=W1, b1=np.array([0.0, 0.0, -50.0, -50.0]), w2=np.array([1.0, -1.0, 0.0, 0.0]), b2=0.0
+        )
+        feats = rng.normal(size=(20, 10))
+        labels = rng.choice([-1.0, 1.0], size=20)
+        best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+        assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
+        np.testing.assert_array_equal(adv, labels * forward(net, best))
+        assert np.all(adv <= clean)
+
+
+def test_pgd_l2_row_space_reaches_closed_form_on_two_unit_linear_net():
+    """W1 = [u; -u], w2 = [c; -c] scores c u.x with h = 2 < d."""
+    rng = np.random.default_rng(16)
+    d, c, eps = 9, 1.7, 0.25
+    u = rng.normal(size=d)
+    net = TwoLayerNet(W1=np.vstack([u, -u]), b1=np.zeros(2), w2=np.array([c, -c]), b2=0.0)
+    feats = rng.normal(size=(40, d)) + 0.5
+    labels = rng.choice([-1.0, 1.0], size=40)
+    cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=10)
+    _, _, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+    a = c * u
+    clean = np.sum(np.exp(-labels * (feats @ a)))
+    exact = np.sum(np.exp(-labels * (feats @ a) + eps * lp_norm(a, 2.0)))
+    attacked = np.sum(np.exp(-adv))
+    assert attacked <= exact * (1 + 1e-9)
+    assert attacked - clean >= 0.99 * (exact - clean)
+
+
+@pytest.mark.parametrize(
+    "h, p, random_start, dense",
+    [
+        (8, 2.0, False, False),
+        (12, 2.0, False, True),
+        (16, 2.0, False, True),
+        (8, np.inf, False, True),
+        (8, 3.0, False, True),
+        (8, 2.0, True, True),
+    ],
+)
+def test_pgd_steps_on_inputs_unless_l2_from_clean_point_with_h_below_d(
+    monkeypatch, h, p, random_start, dense
+):
+    widths = []
+
+    def spy(mat, q):
+        widths.append(mat.shape[1])
+        return norm_subgradient_rows(mat, q)
+
+    monkeypatch.setattr(network, "norm_subgradient_rows", spy)
+    rng = np.random.default_rng(17)
+    net = init_network(d=12, h=h, seed=1)
+    feats = rng.normal(size=(10, 12))
+    labels = rng.choice([-1.0, 1.0], size=10)
+    cfg = PgdConfig(model=PerturbationModel(p, 0.2), steps=4, random_start=random_start)
+    network._pgd_attack_batch(net, feats, labels, cfg, rng=np.random.default_rng(0))
+    assert widths == ([12] * 4 if dense else [])
 
 
 def _spy_on_attack(monkeypatch) -> list:

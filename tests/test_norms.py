@@ -245,6 +245,9 @@ def test_project_onto_ball_rows_match_one_row_projections():
         ([3e200, -4e200], 1e200, [0.6e200, -0.8e200]),
         ([3e-200, 4e-200], 1e-300, [6e-301, 8e-301]),
         ([3e-150, 4e-150], 1.0, [3e-150, 4e-150]),
+        # the factor radius / ||v||_2 underflows to 0 here, and to a subnormal below
+        ([1e200, 1e200], 1e-170, [math.sqrt(0.5) * 1e-170, math.sqrt(0.5) * 1e-170]),
+        ([3e300, 4e300], 1e-10, [6e-11, 8e-11]),
     ],
 )
 def test_project_onto_l2_ball_at_extreme_scales(v, radius, want):
@@ -257,13 +260,17 @@ def test_project_onto_l2_ball_mixed_scale_rows():
     """Rows out of the squares' range get the safe norm; the rest stay bitwise."""
     r = 1e-145
     plain = np.array([[3.0, 4.0], [0.3, 0.1], [0.0, 0.0]])
-    v = np.vstack([plain, [[2e154, -2e154], [0.0, 0.0], [3e-145, 4e-145], [1e-200, 0.0]]])
+    v = np.vstack(
+        [plain, [[2e154, -2e154], [0.0, 0.0], [3e-145, 4e-145], [1e-200, 0.0], [1e200, -1e200]]]
+    )
     w = project_onto_ball(v, 2.0, r)
     np.testing.assert_array_equal(w[:3], project_onto_ball(plain, 2.0, r))
     np.testing.assert_allclose(w[3], [r * math.sqrt(0.5), -r * math.sqrt(0.5)], rtol=1e-15)
     np.testing.assert_array_equal(w[4], [0.0, 0.0])
     np.testing.assert_allclose(w[5], [0.6 * r, 0.8 * r], rtol=1e-15)
     np.testing.assert_array_equal(w[6], v[6])  # inside the ball
+    # radius / ||row||_2 underflows to 0 for this row
+    np.testing.assert_allclose(w[7], [r * math.sqrt(0.5), -r * math.sqrt(0.5)], rtol=1e-15)
     # in range, the norm is sqrt(row . row) exactly as before
     nrm = np.sqrt((plain * plain).sum(axis=1, keepdims=True))
     np.testing.assert_array_equal(
