@@ -8,12 +8,11 @@ geometry (the dual-norm subgradient of the input gradient) and is projected
 back onto the ball.  Each step is one batched call for all rows: the
 steepest-ascent direction from ``norm_subgradient_rows`` and the projection
 from ``project_onto_ball``.  The l2 attack from the clean point runs on row
-coefficients instead when the net has fewer hidden units than inputs: its
-steps are combinations of W1's rows, so each iterate is x + C W1 with C one
-h-vector per input, and the steps and projections need only C and the h x h
-Gram matrix W1 W1^T.  The attack tracks the best iterate seen, so with the
-default deterministic start from the clean point the attacked loss never
-falls below the clean loss.  It is the only scoring pass of a network point:
+coefficients instead: its steps are combinations of W1's rows, so each
+iterate is x + C W1 with C one h-vector per input, and the steps and
+projections need only C and the h x h Gram matrix W1 W1^T.  The attack
+tracks the best iterate seen, so with the default deterministic start from
+the clean point the attacked loss never falls below the clean loss.  It is the only scoring pass of a network point:
 training and evaluation read their losses, errors and risks from the clean
 margins of its first pass and the margins its best-iterate tracking holds.
 
@@ -186,14 +185,13 @@ def _pgd_attack_batch(
     y * f(x) from the attack's first pass, and y * f at the returned iterates.
 
     The l2 attack from the clean point (p = 2, no random start, a nonzero
-    budget) on a net with h < d hidden units runs on the n x h row
-    coefficients of ``_pgd_l2_row_space``; every other attack runs the loop
-    below on the n x d iterates.
+    budget) runs on the n x h row coefficients of ``_pgd_l2_row_space``;
+    every other attack runs the loop below on the n x d iterates.
     """
     model = cfg.model
     eps = model.epsilon
     attacks = eps > 0.0 and cfg.steps > 0
-    if attacks and model.p == 2.0 and not cfg.random_start and net.h < net.d:
+    if attacks and model.p == 2.0 and not cfg.random_start:
         return _pgd_l2_row_space(net, feats, labels, eps, cfg.steps, cfg.effective_step())
     # the clean pass feeds the first step only from a deterministic start
     scores, grad = _score_and_input_ascent(
@@ -274,7 +272,9 @@ def _pgd_l2_row_space(
         t = (step / np.sqrt(np.where(sq > 0.0, sq, 1.0)) * (sq > 0.0))[:, None]
         C = C + t * A
         CK = CK + t * AK
-        shrink = (eps / np.maximum(np.sqrt(np.einsum("ij,ij->i", C, CK)), eps))[:, None]
+        # the carried C K is not C @ K exactly, so c K c^T can round below 0
+        nrm = np.sqrt(np.maximum(np.einsum("ij,ij->i", C, CK), 0.0))
+        shrink = (eps / np.maximum(nrm, eps))[:, None]
         C = C * shrink
         CK = CK * shrink
         u = u0 + CK

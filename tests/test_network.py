@@ -1,6 +1,7 @@
 """Tests for the two-layer ReLU network, its attack, and its trainer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8)
 
 @pytest.mark.parametrize("n", [1, 50])
 def test_pgd_l2_row_space_matches_dense_attack(n):
-    """At h < d the l2 attack runs on row coefficients and agrees with stepping x."""
+    """The l2 attack runs on row coefficients and agrees with stepping x."""
     rng = np.random.default_rng(14)
     net = init_network(d=30, h=8, seed=6)
     net.b1 = rng.normal(size=8) * 0.1
@@ -326,23 +327,34 @@ def test_pgd_l2_row_space_with_zero_and_repeated_rows():
 
 
 def test_pgd_l2_row_space_stays_in_ball_when_rows_nearly_cancel():
-    """Nearly equal rows with opposite output weights: a K a^T is rounding
-    noise, yet every returned point lies in the ball and is scored truly."""
+    """Nearly equal rows with output weights of both signs: a K a^T is
+    rounding noise, yet no step warns and every returned point lies in the
+    ball and is scored truly."""
     rng = np.random.default_rng(18)
     eps = 0.3
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=10)
+
+    def check(net, feats, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+        assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
+        np.testing.assert_array_equal(adv, labels * forward(net, best))
+        assert np.all(adv <= clean)
+
     for _ in range(30):
         W1 = rng.normal(size=(4, 10))
         W1[1] = W1[0] * (1 + 10.0 ** rng.uniform(-12, -4))
         net = TwoLayerNet(
             W1=W1, b1=np.array([0.0, 0.0, -50.0, -50.0]), w2=np.array([1.0, -1.0, 0.0, 0.0]), b2=0.0
         )
-        feats = rng.normal(size=(20, 10))
-        labels = rng.choice([-1.0, 1.0], size=20)
-        best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
-        assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
-        np.testing.assert_array_equal(adv, labels * forward(net, best))
-        assert np.all(adv <= clean)
+        check(net, rng.normal(size=(20, 10)), rng.choice([-1.0, 1.0], size=20))
+    # six rows equal to ~1e-14: the carried c K c^T rounds below 0 on a step
+    rng = np.random.default_rng(2)
+    base = rng.normal(size=10)
+    W1 = base * (1 + rng.normal(size=(6, 1)) * 1e-14) + rng.normal(size=(6, 10)) * 1e-16
+    net = TwoLayerNet(W1=W1, b1=rng.normal(size=6) * 0.01, w2=rng.choice([-1.0, 1.0], size=6), b2=0.0)
+    check(net, rng.normal(size=(20, 10)), rng.choice([-1.0, 1.0], size=20))
 
 
 def test_pgd_l2_row_space_reaches_closed_form_on_two_unit_linear_net():
@@ -367,14 +379,14 @@ def test_pgd_l2_row_space_reaches_closed_form_on_two_unit_linear_net():
     "h, p, random_start, dense",
     [
         (8, 2.0, False, False),
-        (12, 2.0, False, True),
-        (16, 2.0, False, True),
+        (12, 2.0, False, False),
+        (16, 2.0, False, False),
         (8, np.inf, False, True),
         (8, 3.0, False, True),
         (8, 2.0, True, True),
     ],
 )
-def test_pgd_steps_on_inputs_unless_l2_from_clean_point_with_h_below_d(
+def test_pgd_steps_on_inputs_unless_l2_from_clean_point(
     monkeypatch, h, p, random_start, dense
 ):
     widths = []
