@@ -12,9 +12,10 @@ coefficients instead: its steps are combinations of W1's rows, so each
 iterate is x + C W1 with C one h-vector per input, and the steps and
 projections need only C and the h x h Gram matrix W1 W1^T.  The attack
 tracks the best iterate seen, so with the default deterministic start from
-the clean point the attacked loss never falls below the clean loss.  It is the only scoring pass of a network point:
-training and evaluation read their losses, errors and risks from the clean
-margins of its first pass and the margins its best-iterate tracking holds.
+the clean point the attacked loss never falls below the clean loss.  It is
+the only scoring pass of a network point: training and evaluation read their
+losses, errors and risks from the clean margins of its first pass and the
+margins its best-iterate tracking holds.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
