@@ -34,9 +34,7 @@ from .network import (
     init_network,
 )
 from .norms import PerturbationModel
-from .risk import _draw_test_block, analytic_risk, empirical_risks
-from scipy.special import ndtr
-
+from .risk import _draw_test_block, analytic_risk, empirical_risks, normal_cdf
 from .svgplot import Series, write_line_plot
 from .training import TrainConfig, summed_step, train
 
@@ -344,7 +342,7 @@ def _aggregate(rows: list[SweepRow], gaussian: bool = True) -> list[dict]:
         # the best achievable risk of any linear rule under gaussian noise
         rec["baseline_eta"] = rec["eta"]
         rec["baseline_opt"] = (
-            rec["eta"] + (1.0 - 2.0 * rec["eta"]) * float(ndtr(-(rec["d"] ** rec["r"])))
+            rec["eta"] + (1.0 - 2.0 * rec["eta"]) * normal_cdf(-(rec["d"] ** rec["r"]))
             if gaussian
             else math.nan
         )

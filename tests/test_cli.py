@@ -60,6 +60,43 @@ def test_module_entry_point_runs_command(tmp_path):
     assert load_dataset_csv(str(out)).n == 6
 
 
+def test_cli_runs_do_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency: importing scipy.special alone was most
+    # of a fresh process's set-up time
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text(
+        "figure_id = risk_vs_d\n"
+        "n = 8\n"
+        "d_grid = 20\n"
+        "r = 0.4\n"
+        "epsilon = 0.05\n"
+        "T = 10\n"
+        "record_every = 5\n"
+        "seeds = 1\n"
+        f"output_dir = {tmp_path / 'figs'}\n"
+    )
+    run = tmp_path / "run"
+    code = (
+        "import sys\n"
+        "import advlab\n"
+        "from advlab.cli import cli_main\n"
+        f"assert cli_main(['train', '--n', '8', '--d', '20', '--T', '10', '--out', {str(run)!r}]) == 0\n"
+        f"assert cli_main(['risk', '--theta', {str(run / 'theta.csv')!r}]) == 0\n"
+        f"assert cli_main(['sweep', '--config', {str(cfg)!r}, '--format', 'csv']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "method=analytic" in proc.stdout
+    header, row = (tmp_path / "figs" / "risk_vs_d_agg.csv").read_text().splitlines()[:2]
+    baseline_opt = float(row.split(",")[header.split(",").index("baseline_opt")])
+    assert 0.0 < baseline_opt < 0.5
+
+
 def test_gen_seed_determinism(tmp_path):
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
     base = ["gen", "--n", "10", "--d", "6", "--out"]

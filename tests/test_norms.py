@@ -147,6 +147,22 @@ def test_subgradient_rows_matches_vector_version():
             assert np.allclose(rows[i], norm_subgradient(mat[i], q), atol=1e-14)
 
 
+def test_subgradient_rows_l2_does_not_depend_on_other_rows():
+    # a zero row, or a row whose squares over- or underflow, must not change
+    # the closed form row / ||row||_2 of the other rows by a single bit
+    rng = np.random.default_rng(5)
+    for n, d in ((50, 1000), (7, 5)):
+        mat = rng.normal(size=(n, d))
+        want = norm_subgradient_rows(mat, 2.0)
+        for odd in (np.zeros(d), np.full(d, 1e200), np.full(d, 1e-200)):
+            for at in (0, n // 2, n):
+                got = norm_subgradient_rows(np.insert(mat, at, odd, axis=0), 2.0)
+                assert np.array_equal(np.delete(got, at, axis=0), want)
+                assert np.array_equal(got[at], norm_subgradient(odd, 2.0))
+    assert np.array_equal(norm_subgradient(np.full(4, 1e200), 2.0), np.full(4, 0.5))
+    assert np.array_equal(norm_subgradient(np.full(4, 1e-200), 2.0), np.full(4, 0.5))
+
+
 def _random_feasible(rng, d, p, eps, k):
     """k points with ||u||_p <= eps, mixing interior and boundary."""
     g = rng.normal(size=(k, d))

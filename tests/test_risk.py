@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from advlab.data import MixtureSpec, generate
 from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
@@ -12,6 +13,7 @@ from advlab.risk import (
     empirical_risks,
     misclassified_adversarially,
     monte_carlo_risk,
+    normal_cdf,
 )
 
 
@@ -54,6 +56,30 @@ def test_misclassified_agrees_with_explicit_worst_case():
             u = worst_case_perturbation(theta, y, model)
             explicit = y * float((x + u) @ theta) < 0.0
             assert misclassified_adversarially(theta, x, y, model) == explicit
+
+
+# ------------------------------------------------------------- normal cdf
+
+
+@pytest.mark.parametrize("half_width, rel_bound", [(5.0, 2e-15), (20.0, 2e-14)])
+def test_normal_cdf_matches_scipy_ndtr(half_width, rel_bound):
+    # libm's erf/erfc and cephes' differ in the last bits on about 40% of
+    # points; the bounds are ~1.3x the largest difference seen on this grid
+    rng = np.random.default_rng(11)
+    xs = np.concatenate(
+        [np.linspace(-half_width, half_width, 20001), rng.uniform(-half_width, half_width, 20000)]
+    )
+    got = np.array([normal_cdf(float(x)) for x in xs])
+    want = ndtr(xs)
+    assert np.all(np.abs(got - want) <= rel_bound * want)
+
+
+def test_normal_cdf_exact_values():
+    assert normal_cdf(0.0) == 0.5
+    assert normal_cdf(math.inf) == 1.0
+    assert normal_cdf(-math.inf) == 0.0
+    assert math.isnan(normal_cdf(math.nan))
+    assert type(normal_cdf(np.float64(1.0))) is float
 
 
 # ------------------------------------------------------------- analytic risk
