@@ -122,8 +122,8 @@ def norm_subgradient_rows(mat: np.ndarray, q: float) -> np.ndarray:
     """One ``norm_subgradient`` per row of a 2-d array.
 
     Closed forms for q = 1 (sign), q = 2 (row / ||row||_2) and q = inf
-    (one-hot).  Other q, and at q = 2 the nonzero rows whose squared l2 norm
-    leaves the safe range, use sign * (|row| / ||row||_q) ** (q - 1) on rows
+    (one-hot).  Other q, and at q = 2 the rows whose squared l2 norm leaves
+    the safe range, use sign * (|row| / ||row||_q) ** (q - 1) on rows
     divided by their largest modulus, so large exponents neither overflow nor
     underflow.  Each row's result depends on that row alone.
     """
@@ -146,14 +146,11 @@ def norm_subgradient_rows(mat: np.ndarray, q: float) -> np.ndarray:
             sq = np.einsum("ij,ij->i", mat, mat)
         if _SUMSQ_MIN < sq.min() and sq.max() < math.inf:
             return mat / np.sqrt(sq)[:, None]
-        # zero rows map to zero, and only the nonzero rows whose squares over-
-        # or underflow take the power form: no row changes because of another
-        safe = (_SUMSQ_MIN < sq) & (sq < math.inf)
-        out = mat / np.sqrt(np.where(safe, sq, 1.0))[:, None]
-        odd = np.flatnonzero(~safe)
-        odd = odd[mat[odd].any(axis=1)]
-        if odd.size:
-            out[odd] = _power_subgradient_rows(mat[odd], q)
+        # only the rows whose squares over- or underflow (zero rows among
+        # them) take the power form, so no row changes because of another
+        odd = ~((_SUMSQ_MIN < sq) & (sq < math.inf))
+        out = mat / np.sqrt(np.where(odd, 1.0, sq))[:, None]
+        out[odd] = _power_subgradient_rows(mat[odd], q)
         return out
     return _power_subgradient_rows(mat, q)
 

@@ -61,8 +61,8 @@ def test_module_entry_point_runs_command(tmp_path):
 
 
 def test_cli_runs_do_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency: importing scipy.special alone was most
-    # of a fresh process's set-up time
+    # scipy is a test-only dependency: importing scipy.special alone costs
+    # about half of a fresh process's set-up time
     cfg = tmp_path / "fig.cfg"
     cfg.write_text(
         "figure_id = risk_vs_d\n"
