@@ -64,7 +64,7 @@ def test_misclassified_agrees_with_explicit_worst_case():
 @pytest.mark.parametrize("half_width, rel_bound", [(5.0, 2e-15), (20.0, 2e-14)])
 def test_normal_cdf_matches_scipy_ndtr(half_width, rel_bound):
     # libm's erf/erfc and cephes' differ in the last bits on about 40% of
-    # points; the bounds are ~1.3x the largest difference seen on this grid
+    # points; each bound is ~1.3x the largest difference seen on its range
     rng = np.random.default_rng(11)
     xs = np.concatenate(
         [np.linspace(-half_width, half_width, 20001), rng.uniform(-half_width, half_width, 20000)]
