@@ -45,10 +45,13 @@ _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 _MASK64 = (1 << 64) - 1
 
+# delta of the probability-(1 - delta) statements: the assumption thresholds
+# here and the pairwise-product bound of lemmas.sample_geometry
+_CONFIDENCE = 0.1
+
 # reserved stream tags (all >= 2**48, clear of sample indices)
 STREAM_EVAL = (1 << 48) + 1
 STREAM_NET_INIT = (1 << 48) + 2
-STREAM_ATTACK = (1 << 48) + 3
 
 
 def keyed_rng(seed: int, stream: int) -> np.random.Generator:
@@ -208,9 +211,7 @@ class AssumptionReport:
     separable: bool
 
 
-def check_assumptions(
-    ds: Dataset, model: PerturbationModel, delta: float = 0.1
-) -> AssumptionReport:
+def check_assumptions(ds: Dataset, model: PerturbationModel) -> AssumptionReport:
     """Measure how comfortably a dataset sits inside the analyzed regime."""
     if ds.spec is None:
         raise ValueError("dataset carries no generating spec; assumptions need mu")
@@ -219,13 +220,13 @@ def check_assumptions(
     n, d = ds.n, ds.d
     mu = ds.spec.mu
     mu_sq = float(mu @ mu)
-    dim_thresh = max(n * mu_sq, n * n * math.log(n / delta))
-    mean_thresh = max(math.log(n / delta), model.epsilon * lp_norm(mu, model.q))
+    dim_thresh = max(n * mu_sq, n * n * math.log(n / _CONFIDENCE))
+    mean_thresh = max(math.log(n / _CONFIDENCE), model.epsilon * lp_norm(mu, model.q))
     gamma_bar = standard_margin(ds, model.q).value
     return AssumptionReport(
         n=n,
         d=d,
-        delta=delta,
+        delta=_CONFIDENCE,
         dimension_threshold=dim_thresh,
         dimension_ratio=d / dim_thresh if dim_thresh > 0 else math.inf,
         dimension_ok=d >= dim_thresh,

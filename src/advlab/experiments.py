@@ -103,7 +103,6 @@ class ExperimentConfig:
     lr: float = 0.01
     pgd_steps: int = 10
     output_dir: str = "."
-    xlog: bool = True
 
     def __post_init__(self) -> None:
         if self.figure_id not in FIGURE_IDS:
@@ -420,7 +419,7 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
                 ylabel=metric.replace("_", " "),
                 title=f"{metric.replace('_', ' ')}  (p={cfg.p:g}, "
                 f"eps={cfg.epsilon_values()[0]:g}, n={cfg.n}, eta={cfg.eta:g})",
-                xlog=cfg.xlog,
+                xlog=True,
             )
             written[f"panel_{letter}"] = str(path)
     elif cfg.figure_id == "adv_risk_vs_t":

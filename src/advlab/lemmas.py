@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
+from .data import _CONFIDENCE, Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
 from .margins import adversarial_margin
 from .norms import PerturbationModel, dual_exponent, lp_norm, norm_subgradient
 from .training import TrainConfig, TrainRecord, train
@@ -58,7 +58,6 @@ LEMMA_IDS = (
 _DESCENT_SLACK = 1e-12
 _IDENTITY_TOL = 1e-12
 _NOISE_SLACK = 0.1  # allowed excess of the empirical flip fraction over eta
-_CONFIDENCE = 0.1  # delta entering the pairwise-product bound
 
 
 @dataclass

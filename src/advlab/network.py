@@ -5,17 +5,16 @@ exists for the inner maximization here, so adversarial examples come from
 projected gradient ascent (PGD) in the lp ball: at each step the input
 moves along the steepest-ascent direction of the per-sample loss in lp
 geometry (the dual-norm subgradient of the input gradient) and is projected
-back onto the ball.  Each step is one batched call for all rows: the
-steepest-ascent direction from ``norm_subgradient_rows`` and the projection
-from ``project_onto_ball``.  The l2 attack from the clean point runs on row
-coefficients instead: its steps are combinations of W1's rows, so each
-iterate is x + C W1 with C one h-vector per input, and the steps and
-projections need only C and the h x h Gram matrix W1 W1^T.  The attack
-tracks the best iterate seen, so with the default deterministic start from
-the clean point the attacked loss never falls below the clean loss.  It is
-the only scoring pass of a network point: training and evaluation read their
-losses, errors and risks from the clean margins of its first pass and the
-margins its best-iterate tracking holds.
+back onto the ball.  Every attack starts at the clean point.  Each step is
+one batched call for all rows: the steepest-ascent direction from
+``norm_subgradient_rows`` and the projection from ``project_onto_ball``.
+The l2 attack runs on row coefficients instead: its steps are combinations
+of W1's rows, so each iterate is x + C W1 with C one h-vector per input, and
+the steps and projections need only C and the h x h Gram matrix W1 W1^T.
+The attack tracks the best iterate seen, so the attacked loss never falls
+below the clean loss.  It is the only scoring pass of a network point:
+training and evaluation read their losses, errors and risks from the clean
+margins of its first pass and the margins its best-iterate tracking holds.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
@@ -24,21 +23,14 @@ pass), with the ReLU subgradient fixed to 0 at the kink.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import (
-    STREAM_ATTACK,
-    STREAM_NET_INIT,
-    Dataset,
-    MixtureSpec,
-    keyed_rng,
-)
+from .data import STREAM_NET_INIT, Dataset, MixtureSpec, keyed_rng
 from .norms import (
     PerturbationModel,
-    _lp_norm_rows,
     dual_exponent,
     norm_subgradient_rows,
     project_onto_ball,
@@ -48,7 +40,6 @@ from .training import _log_exp_loss
 
 __all__ = [
     "TwoLayerNet",
-    "NetGradients",
     "PgdConfig",
     "NetTrainLog",
     "init_network",
@@ -87,33 +78,18 @@ class TwoLayerNet:
         return TwoLayerNet(self.W1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2))
 
 
-@dataclass
-class NetGradients:
-    """Loss gradients, one array per parameter block."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-
 @dataclass(frozen=True)
 class PgdConfig:
-    """Attack parameters.
+    """Attack parameters: the lp ball and the number of steps.
 
-    step_size defaults to 2.5 * epsilon / steps so the iterates can cross
-    the ball a couple of times; random_start draws the first iterate
-    uniformly-ish inside the ball instead of starting at the clean point.
+    The step is 2.5 * epsilon / steps, so the iterates can cross the ball a
+    couple of times.
     """
 
     model: PerturbationModel
     steps: int = 10
-    step_size: Optional[float] = None
-    random_start: bool = False
 
     def effective_step(self) -> float:
-        if self.step_size is not None:
-            return self.step_size
         return 2.5 * self.model.epsilon / max(self.steps, 1)
 
 
@@ -137,8 +113,11 @@ def forward(net: TwoLayerNet, x: np.ndarray) -> float | np.ndarray:
 
 def loss_and_gradients(
     net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray
-) -> tuple[float, NetGradients]:
-    """Summed exponential loss sum_k exp(-y_k score_k) and its gradients."""
+) -> tuple[float, TwoLayerNet]:
+    """Summed exponential loss sum_k exp(-y_k score_k) and its gradients.
+
+    The gradients come back as a ``TwoLayerNet``, one block per parameter.
+    """
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=float)
     u = feats @ net.W1.T + net.b1
@@ -155,7 +134,7 @@ def loss_and_gradients(
         dU = coef[:, None] * ((u > 0.0) * net.w2[None, :])
         dW1 = dU.T @ feats
         db1 = dU.sum(axis=0)
-    return loss, NetGradients(W1=dW1, b1=db1, w2=dW2, b2=db2)
+    return loss, TwoLayerNet(W1=dW1, b1=db1, w2=dW2, b2=db2)
 
 
 def _score_and_input_ascent(
@@ -176,28 +155,21 @@ def _score_and_input_ascent(
 
 
 def _pgd_attack_batch(
-    net: TwoLayerNet,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    cfg: PgdConfig,
-    rng: Optional[np.random.Generator] = None,
+    net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, cfg: PgdConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized PGD over all rows: the best-seen iterates, the clean margins
     y * f(x) from the attack's first pass, and y * f at the returned iterates.
 
-    The l2 attack from the clean point (p = 2, no random start, a nonzero
-    budget) runs on the n x h row coefficients of ``_pgd_l2_row_space``;
-    every other attack runs the loop below on the n x d iterates.
+    The l2 attack (p = 2, a nonzero budget) runs on the n x h row
+    coefficients of ``_pgd_l2_row_space``; every other attack runs the loop
+    below on the n x d iterates.
     """
     model = cfg.model
     eps = model.epsilon
     attacks = eps > 0.0 and cfg.steps > 0
-    if attacks and model.p == 2.0 and not cfg.random_start:
+    if attacks and model.p == 2.0:
         return _pgd_l2_row_space(net, feats, labels, eps, cfg.steps, cfg.effective_step())
-    # the clean pass feeds the first step only from a deterministic start
-    scores, grad = _score_and_input_ascent(
-        net, feats, labels, with_grad=attacks and not cfg.random_start
-    )
+    scores, grad = _score_and_input_ascent(net, feats, labels, with_grad=attacks)
     clean_margin = labels * scores
     if not attacks:
         return feats.copy(), clean_margin, clean_margin
@@ -206,22 +178,8 @@ def _pgd_attack_batch(
     step = cfg.effective_step()
 
     cur = feats
+    best = feats.copy()
     best_margin = clean_margin
-    if cfg.random_start:
-        if rng is None:
-            rng = keyed_rng(0, STREAM_ATTACK)
-        if math.isinf(p):
-            delta = rng.uniform(-eps, eps, size=feats.shape)
-        else:
-            raw = rng.standard_normal(feats.shape)
-            radii = eps * rng.random(feats.shape[0]) ** (1.0 / feats.shape[1])
-            delta = raw / _lp_norm_rows(raw, p)[:, None] * radii[:, None]
-        cand = feats + delta
-        cur = feats + project_onto_ball(cand - feats, p, eps)
-        scores, grad = _score_and_input_ascent(net, cur, labels)
-        best_margin = labels * scores
-    best = cur.copy()
-
     for k in range(cfg.steps):
         cand = cur + step * norm_subgradient_rows(grad, q)
         cur = feats + project_onto_ball(cand - feats, p, eps)
@@ -242,7 +200,7 @@ def _pgd_l2_row_space(
     steps: int,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The l2 attack from the clean point, run on row coefficients.
+    """The l2 attack, run on row coefficients.
 
     The input gradient of -y*score is A W1 with A = -y * (mask * w2), so from
     delta = 0 every step and every l2 rescale keeps delta = C W1 for an n x h
@@ -291,18 +249,12 @@ def _pgd_l2_row_space(
     return best, clean_margin, np.where(stayed, clean_margin, margin)
 
 
-def pgd_attack(
-    net: TwoLayerNet,
-    x: np.ndarray,
-    y: int,
-    cfg: PgdConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
+def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.ndarray:
     """Adversarial example for one input; the best iterate the attack saw."""
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
     best, _, _ = _pgd_attack_batch(
-        net, np.asarray(x, dtype=float)[None, :], np.array([float(y)]), cfg, rng
+        net, np.asarray(x, dtype=float)[None, :], np.array([float(y)]), cfg
     )
     return best[0]
 

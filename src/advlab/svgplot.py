@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class Series:
     label: str
     xs: np.ndarray
     ys: np.ndarray
-    yerr: np.ndarray | None = field(default=None)
+    yerr: np.ndarray
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -70,14 +70,14 @@ def write_line_plot(
     title: str = "",
     xlog: bool = False,
 ) -> None:
-    """Write one SVG panel with lines, markers, optional error bars, legend."""
+    """Write one SVG panel with lines, markers, error bars, legend.
+
+    A point gets an error bar only where its yerr is positive.
+    """
     xs_all = np.concatenate([np.asarray(s.xs, float) for s in series])
     ys_all = np.concatenate([np.asarray(s.ys, float) for s in series])
     for s in series:
-        if s.yerr is not None:
-            ys_all = np.concatenate(
-                [ys_all, np.asarray(s.ys) + s.yerr, np.asarray(s.ys) - s.yerr]
-            )
+        ys_all = np.concatenate([ys_all, np.asarray(s.ys) + s.yerr, np.asarray(s.ys) - s.yerr])
     ys_all = ys_all[np.isfinite(ys_all)]
     xs_all = xs_all[np.isfinite(xs_all)]
     if xs_all.size == 0 or ys_all.size == 0:
@@ -159,7 +159,7 @@ def write_line_plot(
         ys = np.asarray(s.ys, float)
         keep = np.isfinite(xs) & np.isfinite(ys)
         xs, ys = xs[keep], ys[keep]
-        err = None if s.yerr is None else np.asarray(s.yerr, float)[keep]
+        err = np.asarray(s.yerr, float)[keep]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
@@ -168,7 +168,7 @@ def write_line_plot(
             parts.append(
                 f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.6" fill="{color}"/>'
             )
-            if err is not None and err[j] > 0:
+            if err[j] > 0:
                 parts.append(
                     f'<line x1="{sx(x):.2f}" y1="{sy(y - err[j]):.2f}" '
                     f'x2="{sx(x):.2f}" y2="{sy(y + err[j]):.2f}" '

@@ -34,7 +34,7 @@ def test_config_file_round_trip(tmp_path):
         "r = 0.35\n"
         "p = inf\n"
         "seeds = 3\n"
-        "xlog = false\n"
+        "margins = false\n"
         "alpha = 1e-3\n"
         "\n"
     )
@@ -47,7 +47,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.r == 0.35
     assert cfg.p == math.inf
     assert cfg.seeds == 3
-    assert cfg.xlog is False
+    assert cfg.margins is False
     assert cfg.alpha == 1e-3
 
 

@@ -222,35 +222,20 @@ def test_pgd_recovers_closed_form_on_induced_linear_net():
         assert attacked - clean >= 0.99 * (exact - clean)
 
 
-def test_pgd_random_start_is_contained_and_reproducible():
-    net = init_network(d=5, h=8, seed=2)
-    x = np.arange(5, dtype=float) / 3.0
-    for p in (2.0, np.inf, 4.0, 1.0):
-        cfg = PgdConfig(model=PerturbationModel(p, 0.2), steps=5, random_start=True)
-        a = pgd_attack(net, x, 1, cfg, rng=np.random.default_rng(11))
-        b = pgd_attack(net, x, 1, cfg, rng=np.random.default_rng(11))
-        np.testing.assert_array_equal(a, b)
-        assert lp_norm(a - x, p) <= 0.2 * (1 + 1e-12)
-
-
-@pytest.mark.parametrize("random_start", [False, True])
-@pytest.mark.parametrize("p", [2.0, np.inf])
-def test_pgd_batch_margins_rescore_clean_and_returned_points(p, random_start):
+# the ids keep the case names from when a random-start flag was a second parameter
+@pytest.mark.parametrize("p", [2.0, np.inf], ids=["2.0-False", "inf-False"])
+def test_pgd_batch_margins_rescore_clean_and_returned_points(p):
     """The attack's margins are y * forward at the clean rows and at its iterates."""
     rng = np.random.default_rng(12)
     net = init_network(d=7, h=9, seed=4)
     feats = rng.normal(size=(25, 7))
     labels = rng.choice([-1.0, 1.0], size=25)
-    cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=6, random_start=random_start)
-    best, clean, adv = network._pgd_attack_batch(
-        net, feats, labels, cfg, rng=np.random.default_rng(3)
-    )
-    # with a random start the clean margins still belong to the clean point
+    cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=6)
+    best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
     np.testing.assert_array_equal(clean, labels * forward(net, feats))
     np.testing.assert_array_equal(adv, labels * forward(net, best))
     assert np.any(adv < clean)
-    if not random_start:
-        assert np.all(adv <= clean)
+    assert np.all(adv <= clean)
 
 
 def test_pgd_batch_without_budget_returns_clean_margins_twice():
@@ -376,19 +361,24 @@ def test_pgd_l2_row_space_reaches_closed_form_on_two_unit_linear_net():
 
 
 @pytest.mark.parametrize(
-    "h, p, random_start, dense",
+    "h, p, dense",
     [
-        (8, 2.0, False, False),
-        (12, 2.0, False, False),
-        (16, 2.0, False, False),
-        (8, np.inf, False, True),
-        (8, 3.0, False, True),
-        (8, 2.0, True, True),
+        (8, 2.0, False),
+        (12, 2.0, False),
+        (16, 2.0, False),
+        (8, np.inf, True),
+        (8, 3.0, True),
+    ],
+    # the ids keep the case names from when a random-start flag was the third field
+    ids=[
+        "8-2.0-False-False",
+        "12-2.0-False-False",
+        "16-2.0-False-False",
+        "8-inf-False-True",
+        "8-3.0-False-True",
     ],
 )
-def test_pgd_steps_on_inputs_unless_l2_from_clean_point(
-    monkeypatch, h, p, random_start, dense
-):
+def test_pgd_steps_on_inputs_unless_l2_from_clean_point(monkeypatch, h, p, dense):
     widths = []
 
     def spy(mat, q):
@@ -400,8 +390,8 @@ def test_pgd_steps_on_inputs_unless_l2_from_clean_point(
     net = init_network(d=12, h=h, seed=1)
     feats = rng.normal(size=(10, 12))
     labels = rng.choice([-1.0, 1.0], size=10)
-    cfg = PgdConfig(model=PerturbationModel(p, 0.2), steps=4, random_start=random_start)
-    network._pgd_attack_batch(net, feats, labels, cfg, rng=np.random.default_rng(0))
+    cfg = PgdConfig(model=PerturbationModel(p, 0.2), steps=4)
+    network._pgd_attack_batch(net, feats, labels, cfg)
     assert widths == ([12] * 4 if dense else [])
 
 
@@ -410,8 +400,8 @@ def _spy_on_attack(monkeypatch) -> list:
     calls = []
     attack = network._pgd_attack_batch
 
-    def spy(net, feats, labels, cfg, rng=None):
-        out = attack(net, feats, labels, cfg, rng)
+    def spy(net, feats, labels, cfg):
+        out = attack(net, feats, labels, cfg)
         calls.append((net.copy(), feats.copy(), labels.copy(), out[0].copy()))
         return out
 
@@ -422,8 +412,6 @@ def _spy_on_attack(monkeypatch) -> list:
 def test_pgd_config_default_step():
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.4), steps=10)
     assert cfg.effective_step() == pytest.approx(0.1)
-    cfg = PgdConfig(model=PerturbationModel(2.0, 0.4), steps=10, step_size=0.07)
-    assert cfg.effective_step() == 0.07
 
 
 # ------------------------------------------------------------ initialization
