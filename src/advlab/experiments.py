@@ -34,7 +34,7 @@ from .network import (
     init_network,
 )
 from .norms import PerturbationModel
-from .risk import _draw_test_block, analytic_risk, empirical_risks, normal_cdf
+from .risk import _eval_margin_risks, analytic_risk, normal_cdf
 from .svgplot import Series, write_line_plot
 from .training import TrainConfig, summed_step, train
 
@@ -264,7 +264,8 @@ def _linear_rows(
         shared["margin_adv"] = rec.adv_margin
 
     if cfg.eval == "monte_carlo":
-        test_feats, test_labels, _ = _draw_test_block(spec, cfg.mc_samples, seed)
+        nonzero = [theta for theta in rec.thetas if np.any(theta)]
+        mc_risks = iter(_eval_margin_risks(nonzero, spec, cfg.mc_samples, seed, model))
 
     rows = []
     for i, t in enumerate(rec.snapshot_ts):
@@ -276,7 +277,7 @@ def _linear_rows(
             rep = analytic_risk(theta, spec, model)
             std, adv, method = rep.std_risk, rep.adv_risk, rep.method
         else:
-            std, adv = empirical_risks(theta, test_feats, test_labels, model)
+            std, adv = next(mc_risks)
             method = "monte_carlo"
         rows.append(
             SweepRow(

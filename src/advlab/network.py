@@ -35,7 +35,7 @@ from .norms import (
     norm_subgradient_rows,
     project_onto_ball,
 )
-from .risk import RiskReport, _draw_test_block
+from .risk import RiskReport, _stream_eval_rows
 from .training import _log_exp_loss
 
 __all__ = [
@@ -346,8 +346,14 @@ def evaluate_nn_risks(
     a certified lower bound on the adversarial risk.
     """
     eval_seed = spec.seed if seed is None else seed
-    feats, obs, _ = _draw_test_block(spec, m, eval_seed)
-    labels = obs.astype(float)
+    # PGD needs the observed labels, which the stream draws after all the
+    # noise, so the rows are gathered whole into one m x d block
+    feats = np.empty((m, spec.d))
+
+    def consume(rows: slice, chunk: np.ndarray) -> None:
+        feats[rows] = chunk
+
+    labels = _stream_eval_rows(spec, m, eval_seed, consume).astype(float)
 
     _, clean_margins, adv_margins = _pgd_attack_batch(net, feats, labels, pgd)
     return RiskReport.monte_carlo(

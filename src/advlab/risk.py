@@ -16,9 +16,15 @@ the standard normal cdf
 
 Phi is ``normal_cdf``, evaluated through the C library's error function
 and complementary error function (``math.erf``, ``math.erfc``) in double
-precision.  The Monte Carlo evaluator draws a fresh block of samples from a
+precision.  The Monte Carlo evaluator draws m fresh samples from a
 dedicated evaluation stream (tag STREAM_EVAL), disjoint by construction
 from every dataset sample stream, and reports a binomial standard error.
+The stream order is fixed: all m label bits, then the m noise rows in
+order, then the m flip uniforms.  ``_stream_eval_rows`` draws the noise in
+row chunks of about 512 KB and hands each chunk to its caller while it is
+in cache, so Monte Carlo risk holds O(m + chunk) floats, never an m x d
+block.  Philox keeps its state between calls, so the chunked draws are
+the same values as one block draw.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ __all__ = [
 
 
 _SQRT1_2 = math.sqrt(0.5)
+
+# noise floats per evaluation chunk (512 KB); a chunk holds at least one row
+_CHUNK_FLOATS = 1 << 16
 
 
 def normal_cdf(x: float) -> float:
@@ -111,28 +120,58 @@ def analytic_risk(
     return RiskReport(std_risk=std, adv_risk=adv, method="analytic")
 
 
-def _draw_test_block(
-    spec: MixtureSpec, m: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m fresh samples in one block draw from the evaluation stream.
+def _stream_eval_rows(spec: MixtureSpec, m: int, seed: int, consume) -> np.ndarray:
+    """Draw m evaluation samples in row chunks; return their observed labels.
 
-    Same law as ``data.generate`` (label bit, noise, flip) but drawn as
-    arrays for speed; evaluation never needs per-sample extendability.
+    Same law as ``data.generate`` (label bit, noise, flip), drawn from the
+    stream (seed, STREAM_EVAL) in the order of the module docstring.  Each
+    chunk's features ``clean * mu + xi`` go to ``consume(rows, feats)``,
+    with ``rows`` the slice of sample indices they hold; ``feats`` is only
+    valid during the call.
     """
     rng = keyed_rng(seed, STREAM_EVAL)
     clean = np.where(rng.integers(0, 2, size=m) == 0, 1, -1).astype(np.int64)
-    xi = _draw_noise(rng, spec.noise_dist, m * spec.d).reshape(m, spec.d)
+    step = max(1, _CHUNK_FLOATS // spec.d)
+    for lo in range(0, m, step):
+        rows = slice(lo, min(lo + step, m))
+        feats = _draw_noise(rng, spec.noise_dist, (rows.stop - lo) * spec.d)
+        feats = feats.reshape(-1, spec.d)
+        feats += clean[rows, None] * spec.mu
+        consume(rows, feats)
     flips = rng.random(m) < spec.eta
-    obs = np.where(flips, -clean, clean)
-    feats = clean[:, None] * spec.mu + xi
-    return feats, obs, clean
+    return np.where(flips, -clean, clean)
+
+
+def _eval_margin_risks(
+    thetas: list[np.ndarray], spec: MixtureSpec, m: int, seed: int, model: PerturbationModel
+) -> list[tuple[float, float]]:
+    """(standard, adversarial) Monte Carlo risks of each theta on one stream.
+
+    Every theta is scored on the same m samples, chunk by chunk, so only
+    the len(thetas) x m margins are kept.
+    """
+    scores = np.empty((len(thetas), m))
+
+    def consume(rows: slice, feats: np.ndarray) -> None:
+        for k, theta in enumerate(thetas):
+            scores[k, rows] = feats @ theta
+
+    labels = _stream_eval_rows(spec, m, seed, consume)
+    return [
+        _risks_of_margins(labels * s, theta, model) for s, theta in zip(scores, thetas)
+    ]
 
 
 def empirical_risks(
     theta: np.ndarray, feats: np.ndarray, labels: np.ndarray, model: PerturbationModel
 ) -> tuple[float, float]:
     """Fractions misclassified (standard, adversarial) on given samples."""
-    margins = labels * (feats @ theta)
+    return _risks_of_margins(labels * (feats @ theta), theta, model)
+
+
+def _risks_of_margins(
+    margins: np.ndarray, theta: np.ndarray, model: PerturbationModel
+) -> tuple[float, float]:
     shift = model.epsilon * lp_norm(theta, model.q)
     return float(np.mean(margins < 0.0)), float(np.mean(margins - shift < 0.0))
 
@@ -148,11 +187,16 @@ def monte_carlo_risk(
 
     seed defaults to spec.seed; pass an explicit seed for independent
     repetitions.  Exact closed-form perturbations make the adversarial
-    estimate exact per sample, so the only error is binomial.
+    estimate exact per sample, so the only error is binomial.  The samples
+    are drawn in the stream order of the module docstring and scored chunk
+    by chunk: memory is O(m) floats plus one chunk of about 512 KB.  The
+    samples are those of one m x d block draw; BLAS may sum a chunk's
+    margins in another order (last-bit differences, about 1e-14 at d=1000),
+    which changes an estimate only for a margin that close to a boundary.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     eval_seed = spec.seed if seed is None else seed
-    feats, labels, _ = _draw_test_block(spec, m, eval_seed)
-    std, adv = empirical_risks(np.asarray(theta, dtype=float), feats, labels, model)
+    theta = np.asarray(theta, dtype=float)
+    [(std, adv)] = _eval_margin_risks([theta], spec, m, eval_seed, model)
     return RiskReport.monte_carlo(std, adv, m)

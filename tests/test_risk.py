@@ -1,14 +1,19 @@
 """Tests for analytic and Monte Carlo population risk."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from advlab.data import MixtureSpec, generate
+from advlab import network
+from advlab.data import NOISE_DISTS, STREAM_EVAL, MixtureSpec, _draw_noise, generate, keyed_rng
 from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.risk import (
+    _CHUNK_FLOATS,
+    RiskReport,
+    _stream_eval_rows,
     analytic_risk,
     empirical_risks,
     misclassified_adversarially,
@@ -228,12 +233,71 @@ def test_mc_risk_matches_analytic_within_two_sigma():
 
 def test_mc_eval_stream_disjoint_from_training_samples():
     spec = _spec(np.array([1.0, 0.0]), eta=0.0, seed=9)
-    ds = generate(spec, 50)
-    feats_mean = ds.features.mean(axis=0)
+    train = generate(spec, 50).features
+    evals = []
+    _stream_eval_rows(spec, 50, spec.seed, lambda rows, feats: evals.append(feats.copy()))
+    evals = np.concatenate(evals)
+    assert evals.shape == train.shape
+    # no evaluation row repeats a training row, nor any single coordinate
+    assert not (evals[:, None, :] == train[None, :, :]).all(axis=2).any()
+    assert np.intersect1d(evals, train).size == 0
     rep1 = monte_carlo_risk(np.array([1.0, 0.0]), spec, PerturbationModel(2.0, 0.0), m=50)
     rep2 = monte_carlo_risk(np.array([1.0, 0.0]), spec, PerturbationModel(2.0, 0.0), m=50)
-    assert rep1 == rep2  # same stream, same block
-    assert np.isfinite(feats_mean).all()
+    assert rep1 == rep2  # same stream, same samples
+
+
+def _one_block_draw(spec, m, seed):
+    """The evaluation samples drawn as one m x d block: labels, noise, flips."""
+    rng = keyed_rng(seed, STREAM_EVAL)
+    clean = np.where(rng.integers(0, 2, size=m) == 0, 1, -1).astype(np.int64)
+    xi = _draw_noise(rng, spec.noise_dist, m * spec.d).reshape(m, spec.d)
+    flips = rng.random(m) < spec.eta
+    return clean[:, None] * spec.mu + xi, np.where(flips, -clean, clean)
+
+
+@pytest.mark.parametrize("dist", NOISE_DISTS)
+def test_mc_risk_chunked_stream_matches_one_block_draw(dist):
+    for d in (1, 7, 1000):
+        chunk = max(1, _CHUNK_FLOATS // d)
+        spec = MixtureSpec(d=d, mu=np.full(d, 0.5 / math.sqrt(d)), noise_dist=dist, eta=0.2, seed=3)
+        theta = spec.mu + np.random.default_rng(d).normal(size=d) / math.sqrt(d)
+        model = PerturbationModel(2.0, 0.3)
+        for m in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5}):
+            feats, labels = _one_block_draw(spec, m, 5)
+            want = RiskReport.monte_carlo(*empirical_risks(theta, feats, labels, model), m)
+            assert monte_carlo_risk(theta, spec, model, m=m, seed=5) == want, (d, m)
+
+
+def test_nn_evaluation_block_is_the_one_block_draw(monkeypatch):
+    spec = MixtureSpec(d=300, mu=np.full(300, 0.05), noise_dist="rademacher", eta=0.2, seed=2)
+    m = 3 * (_CHUNK_FLOATS // spec.d) + 5
+    seen = []
+    attack = network._pgd_attack_batch
+
+    def spy(net, feats, labels, cfg):
+        seen.append((feats.copy(), labels.copy()))
+        return attack(net, feats, labels, cfg)
+
+    monkeypatch.setattr(network, "_pgd_attack_batch", spy)
+    net = network.init_network(d=spec.d, h=4, seed=0)
+    pgd = network.PgdConfig(model=PerturbationModel(2.0, 0.1), steps=2)
+    network.evaluate_nn_risks(net, spec, pgd, m=m, seed=7)
+    feats, labels = _one_block_draw(spec, m, 7)
+    np.testing.assert_array_equal(seen[0][0], feats)
+    np.testing.assert_array_equal(seen[0][1], labels.astype(float))
+
+
+def test_mc_risk_memory_does_not_grow_with_m_times_d():
+    # one block would take m*d*8 = 160 MB; the stream keeps O(m) plus a chunk
+    spec = MixtureSpec(d=1000, mu=np.full(1000, 0.01), eta=0.1, seed=4)
+    theta = np.ones(1000)
+    tracemalloc.start()
+    try:
+        monte_carlo_risk(theta, spec, PerturbationModel(2.0, 0.1), m=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 # ------------------------------------------------------------ empirical risk
