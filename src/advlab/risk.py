@@ -134,8 +134,7 @@ def _stream_eval_rows(spec: MixtureSpec, m: int, seed: int, consume) -> np.ndarr
     step = max(1, _CHUNK_FLOATS // spec.d)
     for lo in range(0, m, step):
         rows = slice(lo, min(lo + step, m))
-        feats = _draw_noise(rng, spec.noise_dist, (rows.stop - lo) * spec.d)
-        feats = feats.reshape(-1, spec.d)
+        feats = _draw_noise(rng, spec.noise_dist, (rows.stop - lo) * spec.d).reshape(-1, spec.d)
         feats += clean[rows, None] * spec.mu
         consume(rows, feats)
     flips = rng.random(m) < spec.eta
