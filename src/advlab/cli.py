@@ -175,7 +175,11 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    if args.mc < 0:
+        raise ValueError(f"--mc must be >= 0, got {args.mc}")
     theta = np.loadtxt(args.theta, ndmin=1)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"--theta {args.theta}: every coefficient must be finite")
     model = PerturbationModel(p=args.p, epsilon=args.eps)
     spec = _spec(args, d=theta.shape[0])
     if args.mc > 0:
@@ -191,6 +195,8 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     model = PerturbationModel(p=args.p, epsilon=args.eps)
     result = run_seed_batch(
         n=args.n,

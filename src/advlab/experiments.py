@@ -109,8 +109,26 @@ class ExperimentConfig:
             raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {self.figure_id!r}")
         if self.eval not in ("analytic", "monte_carlo"):
             raise ValueError(f"eval must be 'analytic' or 'monte_carlo', got {self.eval!r}")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+        for name, least in (
+            ("n", 1), ("T", 1), ("record_every", 1), ("seeds", 1), ("margin_iters", 1),
+            ("mc_samples", 1), ("h", 1), ("epochs", 0), ("pgd_steps", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not self.d_grid or min(self.d_grid) < 1:
+            raise ValueError(f"d_grid must hold dimensions >= 1, got {self.d_grid!r}")
+        if not 0.0 <= self.eta < 0.5:
+            raise ValueError(f"eta must lie in [0, 0.5), got {self.eta!r}")
+        if not 1.0 <= self.p <= math.inf:
+            raise ValueError(f"p must lie in [1, inf], got {self.p!r}")
+        for name in ("alpha", "G", "lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        eps_values, r_values = self.epsilon_values(), self.r_values()
+        if not eps_values or not all(0.0 <= eps < math.inf for eps in eps_values):
+            raise ValueError(f"epsilon must hold finite values >= 0, got {self.epsilon!r}")
+        if not r_values or not all(math.isfinite(r) for r in r_values):
+            raise ValueError(f"r must hold finite values, got {self.r!r}")
 
     @property
     def prefix(self) -> str:

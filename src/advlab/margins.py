@@ -20,14 +20,23 @@ Solvers stop once certificate_gap <= gap_tol * max(1, |value|): the
 tolerance is absolute for values up to 1 and relative beyond, where rounding
 in the margins alone exceeds any fixed gap.
 
-The standard margin at q != 2 keeps projected subgradient ascent with
-Polyak-style steps, best-iterate tracking and iterate averaging, initialized
-at the normalized label-weighted sample mean and certified by the counting
-dual point.  So do negative optima on the Euclidean sphere (non-separable
-inputs): their dual value is 0, so the dual certifies nothing and the ascent
-on the sphere takes over, keeping the dual's best direction and bound unless
-it beats them; the gap is loose there and simply reports it.  In two
-dimensions a zoomed grid of directions replaces both.
+The standard margin at q = 1 is the value v of the matrix game with payoff
+[Z, -Z], solved exactly when positive as the covering LP
+1/v = min{1.w : [Z, -Z] w >= 1, w >= 0} by a revised dual simplex from the
+all-slack basis; its basic w gives the direction and its multipliers the
+dual bound, so the gap is closed to rounding.  The LP is infeasible when
+v <= 0 (non-separable inputs).
+
+Every other standard margin at q != 2 (q = 1 too, when the LP is
+infeasible, runs out of pivots or leaves a gap above the tolerance) runs
+projected subgradient ascent with Polyak-style steps, best-iterate tracking
+and iterate averaging, initialized at the normalized label-weighted sample
+mean and certified by the counting dual point.  So do negative optima on
+the Euclidean sphere (non-separable inputs): their dual value is 0, so the
+dual certifies nothing and the ascent on the sphere takes over, keeping the
+dual's best direction and bound unless it beats them; the gap is loose
+there and simply reports it.  In two dimensions a zoomed grid of directions
+replaces all of these.
 """
 
 from __future__ import annotations
@@ -54,6 +63,12 @@ __all__ = ["MarginResult", "standard_margin", "adversarial_margin"]
 DEFAULT_MAX_ITER = 5000
 # stopping gap, scaled by max(1, |value|)
 DEFAULT_GAP_TOL = 1e-10
+# revised dual simplex (q = 1): pivots between fresh basis inverses, the
+# least basic value that counts as feasible, and the least pivot relative
+# to the largest entry of its row
+_REFACTOR_EVERY = 32
+_FEAS_TOL = 1e-12
+_PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,8 @@ class MarginResult:
 
     ``value`` is recomputed from the data at ``direction`` on return, so
     evaluating the objective at the direction reproduces it exactly.
+    ``iterations`` counts the solver's steps against ``max_iter``: simplex
+    pivots for the q = 1 LP, plus ascent iterations whenever an ascent runs.
     """
 
     direction: np.ndarray
@@ -230,6 +247,107 @@ def _solve_dual(
     return best_theta, best_val, upper, it
 
 
+def _solve_covering_lp(
+    z: np.ndarray, max_iter: int, gap_tol: float
+) -> tuple[np.ndarray | None, float, int]:
+    """The q = 1 standard margin as a covering LP, by a revised dual simplex.
+
+    The margin is the value v of the matrix game with payoff A = [Z, -Z],
+    and when v > 0, 1/v = min{1.w : A w >= 1, w >= 0}.  With a surplus s_i
+    per row (column -e_i, cost 0) every column is +-1 times a column of
+    M = [Z, I], and the all-surplus basis is dual feasible because every
+    other cost is 1, so the dual simplex starts there with no phase 1.  Each
+    pivot leaves on the row of largest infeasibility over the norm of its
+    row of B^-1 (dual steepest edge, with exact weights from the explicit
+    inverse), prices that row rho with one product rho M, and enters by the
+    ratio test, which skips basic columns and refuses pivots small relative
+    to the row.  B^-1 takes an O(n^2) update per pivot and is recomputed
+    from B every _REFACTOR_EVERY pivots and before optimality is declared.
+
+    The multipliers u = c_B B^-1 stay dual feasible, so lam = u / sum(u)
+    bounds the margin from above by ||Z^T lam||_inf, and the basic w gives
+    the direction w+ - w-.  Returns (that direction, the bound, pivots) when
+    the bounds close to gap_tol * max(1, |value|), else (None, inf, pivots):
+    the LP is infeasible (v <= 0), hit max_iter pivots, or left a wider gap.
+    """
+    n, d = z.shape
+    m = np.hstack([z, np.eye(n)])
+    cost = np.zeros(d + n)
+    cost[:d] = 1.0
+    # row k's basic column is sign[k] * M[:, basis[k]]
+    basis = np.arange(d, d + n)
+    sign = -np.ones(n)
+    basic = np.zeros(d + n, dtype=bool)
+    basic[d:] = True
+    binv = -np.eye(n)
+    xb = -np.ones(n)  # B^-1 1
+    # u M with u = c_B B^-1: column +-M[:, j] has reduced cost cost_j -+ um_j
+    um = np.zeros(d + n)
+    pivots = 0
+    fresh = True
+    while True:
+        short = np.minimum(xb + _FEAS_TOL, 0.0)
+        r = int(np.argmax(short * short / np.einsum("ij,ij->i", binv, binv)))
+        if short[r] < 0.0:
+            if pivots == max_iter:
+                return None, math.inf, pivots
+            rho = binv[r]
+            alpha = rho @ m  # row r of B^-1 [M, -M]: alpha, then -alpha
+            mag = np.abs(alpha)
+            tol = _PIVOT_TOL * float(mag.max())
+            # column j enters as -sign(alpha_j) M[:, j]; surpluses only as -e_i
+            np.maximum(alpha[d:], 0.0, out=mag[d:])
+            mag[basic] = 0.0
+            leaving = basis[r]
+            if leaving < d:
+                mag[leaving] = 1.0  # its own pivot entry: the pair's other side may enter
+            ratio = np.divide(cost + np.sign(alpha) * um, mag,
+                              out=np.full(d + n, math.inf), where=mag > tol)
+            j = int(np.argmin(ratio))
+            if not ratio[j] < math.inf:
+                return None, math.inf, pivots  # dual unbounded: v <= 0
+            step = max(float(ratio[j]), 0.0)
+            s = -1.0 if alpha[j] > 0.0 else 1.0
+            col = binv @ m[:, j]
+            col *= s
+            pivots += 1
+            um -= step * alpha
+            piv = col[r]
+            t = xb[r] / piv
+            xb -= t * col
+            xb[r] = t
+            prow = rho / piv
+            binv -= np.outer(col, prow)
+            binv[r] = prow
+            basic[leaving] = False
+            basic[j] = True
+            basis[r], sign[r] = j, s
+            fresh = False
+            if pivots % _REFACTOR_EVERY:
+                continue
+        elif fresh:
+            break
+        # a fresh inverse from B, and the state it implies
+        binv = np.linalg.inv(m[:, basis] * sign)
+        xb = binv.sum(axis=1)
+        um = cost[basis] @ binv @ m
+        fresh = True
+
+    structural = np.flatnonzero(basis < d)
+    theta = np.zeros(d)
+    theta[basis[structural]] = sign[structural] * xb[structural]
+    direction = _normalize(theta, 1.0)
+    lam = np.maximum(cost[basis] @ binv, 0.0)
+    total = float(lam.sum())
+    if direction is None or not total > 0.0:
+        return None, math.inf, pivots
+    upper = _dual_upper_bound(z, lam / total, 0.0, 1.0, 1.0)
+    value, _ = _objective(z, direction, 0.0, 1.0)
+    if upper - value > _tolerance(value, gap_tol):
+        return None, math.inf, pivots
+    return direction, upper, pivots
+
+
 def _solve(
     z: np.ndarray,
     sphere_q: float,
@@ -348,12 +466,18 @@ def _solve(
             # (the dual value is 0), so ascend on the sphere itself
             _ascend(start, on_ball=False)
     else:
-        # standard margin at q != 2, homogeneous: the ball and sphere optima
-        # agree when positive
-        _ascend(start, on_ball=True)
-        if best_val <= 0.0 and gap > _tolerance(best_val, gap_tol):
-            # non-separable: the sphere optimum is negative and off the ball path
-            _ascend(start, on_ball=False)
+        # standard margin at q != 2; at q = 1 a certified LP optimum stands
+        lp_theta = None
+        if sphere_q == 1.0:
+            lp_theta, best_upper, total_iters = _solve_covering_lp(z, max_iter, gap_tol)
+        if lp_theta is not None:
+            best_theta = lp_theta
+        else:
+            # homogeneous: the ball and sphere optima agree when positive
+            _ascend(start, on_ball=True)
+            if best_val <= 0.0 and gap > _tolerance(best_val, gap_tol):
+                # non-separable: the sphere optimum is negative and off the ball path
+                _ascend(start, on_ball=False)
 
     direction = _normalize(best_theta, sphere_q)
     assert direction is not None

@@ -219,6 +219,32 @@ def test_risk_missing_file_is_runtime_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_risk_non_finite_theta_is_runtime_error(tmp_path, capsys):
+    theta_path = tmp_path / "theta.txt"
+    np.savetxt(theta_path, [1.0, float("nan"), 2.0])
+    assert cli_main(["risk", "--theta", str(theta_path)]) == 2
+    captured = capsys.readouterr()
+    assert "--theta" in captured.err and captured.out == ""
+
+
+def test_risk_negative_mc_is_runtime_error(tmp_path, capsys):
+    theta_path = tmp_path / "theta.txt"
+    np.savetxt(theta_path, np.ones(10))
+    assert cli_main(["risk", "--theta", str(theta_path), "--mc", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "--mc" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_lemmas_zero_seeds_is_runtime_error(tmp_path, capsys, with_out):
+    out = tmp_path / "reports.csv"
+    argv = ["lemmas", "--n", "8", "--d", "60", "--seeds", "0", "--T", "5"]
+    assert cli_main(argv + (["--out", str(out)] if with_out else [])) == 2
+    captured = capsys.readouterr()
+    assert "--seeds" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_lemmas_batch_summary_and_csv(tmp_path, capsys):
     out = tmp_path / "reports.csv"
     code = cli_main(
@@ -269,6 +295,27 @@ def test_sweep_from_config_with_overrides(tmp_path, capsys):
 def test_sweep_missing_config_is_runtime_error(capsys):
     assert cli_main(["sweep", "--config", "/no/such/file.cfg"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_nn_config_without_mc_samples_fails_before_training(tmp_path, capsys, monkeypatch):
+    from advlab import experiments
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network")
+
+    monkeypatch.setattr(experiments, "adv_train_nn", no_training)
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text(
+        "figure_id = nn_risk_vs_d\n"
+        "n = 8\n"
+        "d_grid = 12\n"
+        "epochs = 2\n"
+        "seeds = 1\n"
+        "mc_samples = 0\n"
+    )
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "mc_samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_svg_format_writes_panels(tmp_path):

@@ -84,6 +84,25 @@ def test_config_validation():
         ExperimentConfig(seeds=0)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("n", 0), ("T", 0), ("record_every", 0), ("margin_iters", 0), ("mc_samples", 0),
+        ("h", 0), ("epochs", -1), ("pgd_steps", -1), ("d_grid", ()), ("d_grid", (50, 0)),
+        ("eta", 0.5), ("eta", -0.1), ("eta", math.nan), ("p", 0.5), ("alpha", 0.0),
+        ("G", -1.0), ("lr", math.inf), ("epsilon", -0.1), ("epsilon", (0.1, math.nan)),
+        ("epsilon", ()), ("r", math.inf), ("r", (0.3, math.nan)),
+    ],
+)
+def test_config_rejects_bad_numeric_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: bad})
+
+
+def test_config_accepts_boundary_values():
+    ExperimentConfig(epochs=0, pgd_steps=0, eta=0.0, epsilon=0.0, p=math.inf, r=-1.0)
+
+
 # ---------------------------------------------------------------- aggregation
 
 

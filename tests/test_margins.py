@@ -222,6 +222,128 @@ def test_nonseparable_instance_falls_back_to_primal_ascent(monkeypatch):
     assert res.certificate_gap >= -res.value
 
 
+# ------------------------------------------------- q = 1 by the covering LP
+
+
+def _highs_l1_margin(z):
+    """min over the simplex of ||Z^T lam||_inf by HiGHS: the q = 1 margin when positive."""
+    from scipy.optimize import linprog
+
+    n, d = z.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    t_col = -np.ones((d, 1))
+    res = linprog(
+        cost,
+        A_ub=np.vstack([np.hstack([z.T, t_col]), np.hstack([-z.T, t_col])]),
+        b_ub=np.zeros(2 * d),
+        A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _count_ascent_steps(monkeypatch):
+    """Record the q-ball projections, which only the primal ascent makes."""
+    from advlab import margins
+
+    calls = []
+    project = margins.project_onto_ball
+
+    def counting_project(v, p, radius):
+        calls.append(p)
+        return project(v, p, radius)
+
+    monkeypatch.setattr(margins, "project_onto_ball", counting_project)
+    return calls
+
+
+def _assert_lp_certified(res, want, max_iter):
+    tol = 1e-10 * max(1.0, abs(want))
+    assert 0.0 <= res.certificate_gap <= tol
+    assert res.value == pytest.approx(want, abs=tol)
+    assert lp_norm(res.direction, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert 0 < res.iterations <= max_iter
+
+
+@pytest.mark.parametrize("n, d", [(20, 200), (50, 60), (50, 45), (8, 3)])
+def test_l1_margin_matches_highs_on_mixtures(monkeypatch, n, d):
+    calls = _count_ascent_steps(monkeypatch)
+    for seed in range(3):
+        spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.0, seed=seed)
+        ds = generate(spec, n)
+        want = _highs_l1_margin(ds.signed_features)
+        assert want > 0.0
+        _assert_lp_certified(standard_margin(ds, q=1.0, max_iter=1000), want, 1000)
+    assert calls == []
+
+
+def test_l1_margin_on_degenerate_samples(monkeypatch):
+    calls = _count_ascent_steps(monkeypatch)
+    rng = np.random.default_rng(6)
+    base = rng.normal(size=(6, 9)) + 1.0
+    zero_col = base.copy()
+    zero_col[:, 4] = 0.0
+    cases = {
+        "duplicate rows": np.vstack([base, base[:3], base[:1]]),
+        "zero column": zero_col,
+        "one row": base[:1],
+        "all rows equal": np.tile(base[0], (7, 1)),
+    }
+    for name, feats in cases.items():
+        ds = _dataset(feats, np.ones(len(feats)))
+        want = _highs_l1_margin(feats)
+        res = standard_margin(ds, q=1.0)
+        _assert_lp_certified(res, want, 5000)
+        if name == "zero column":
+            assert res.direction[4] == 0.0
+        if name in ("one row", "all rows equal"):
+            # one distinct row z scores ||z||_inf
+            assert res.value == pytest.approx(float(np.abs(base[0]).max()), rel=1e-12)
+    assert calls == []
+
+
+def test_nonseparable_l1_margin_falls_back_to_ascent(monkeypatch):
+    # n > d rows of both signs around the origin: no direction separates
+    # them, the LP is infeasible and the ascent reports the negative optimum
+    calls = _count_ascent_steps(monkeypatch)
+    rng = np.random.default_rng(7)
+    feats = rng.normal(size=(40, 5))
+    ds = _dataset(feats, np.ones(40))
+    assert _highs_l1_margin(feats) == pytest.approx(0.0, abs=1e-9)
+    res = standard_margin(ds, q=1.0, max_iter=300)
+    assert calls
+    assert res.value < 0.0
+    assert res.iterations > 300  # every pivot and ascent step is counted
+    assert res.certificate_gap >= -res.value
+
+
+def test_l1_margin_with_too_few_pivots_falls_back_to_ascent(monkeypatch):
+    calls = _count_ascent_steps(monkeypatch)
+    ds = _mixture(200, seed=11)
+    exact = standard_margin(ds, q=1.0)
+    assert not calls
+    res = standard_margin(ds, q=1.0, max_iter=20)
+    assert calls
+    assert res.iterations > 20
+    # the capped ascent reports an honest, open gap around the optimum
+    assert res.value < exact.value < res.value + res.certificate_gap
+    assert res.certificate_gap > 1e-10
+
+
+def test_l1_margin_at_sweep_size_is_certified():
+    # sweep_linear's p = inf run at d = 1000, r = 0.2: the capped ascent wrote
+    # 0.2903 here against the optimum 0.3611, with a gap of about 0.1
+    spec = MixtureSpec(d=1000, mu=mu_from_scaling(1000, 0.2), eta=0.1, seed=1401)
+    ds = generate(spec, 50)
+    res = standard_margin(ds, q=1.0, max_iter=1000)
+    _assert_lp_certified(res, _highs_l1_margin(ds.signed_features), 1000)
+    assert res.value == pytest.approx(0.3611, abs=1e-4)
+
+
 def test_margin_solves_do_not_import_scipy_optimize():
     # importing scipy.optimize costs a large share of a fresh process's set-up
     # time, and every warm-up solves margins
