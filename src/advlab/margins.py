@@ -23,7 +23,7 @@ in the margins alone exceeds any fixed gap.
 The standard margin at q = 1 is the value v of the matrix game with payoff
 [Z, -Z], solved exactly when positive as the covering LP
 1/v = min{1.w : [Z, -Z] w >= 1, w >= 0} by a revised dual simplex from the
-all-slack basis; its basic w gives the direction and its multipliers the
+all-surplus basis; its basic w gives the direction and its multipliers the
 dual bound, so the gap is closed to rounding.  The LP is infeasible when
 v <= 0 (non-separable inputs).
 
@@ -286,6 +286,7 @@ def _solve_covering_lp(
     pivots = 0
     fresh = True
     while True:
+        # leaving row by dual steepest edge: infeasibility over ||row of B^-1||
         short = np.minimum(xb + _FEAS_TOL, 0.0)
         r = int(np.argmax(short * short / np.einsum("ij,ij->i", binv, binv)))
         if short[r] < 0.0:
@@ -326,7 +327,7 @@ def _solve_covering_lp(
             if pivots % _REFACTOR_EVERY:
                 continue
         elif fresh:
-            break
+            break  # feasible under an inverse just taken from B: optimal
         # a fresh inverse from B, and the state it implies
         binv = np.linalg.inv(m[:, basis] * sign)
         xb = binv.sum(axis=1)
