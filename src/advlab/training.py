@@ -11,9 +11,13 @@ so the training objective and its (sub)gradient are
     grad L(theta) = -sum_k (z_k - eps*g(theta)) exp(-z_k.theta + eps*||theta||_q)
 
 with g a subgradient of the q-norm.  Training runs plain full-batch descent
-from the zero vector (or a supplied start), records scalar diagnostics at
-every iteration and full snapshots on a stride, and aborts with the partial
+from the zero vector (or a supplied start) and aborts with the partial
 record attached if the loss or gradient leaves the representable range.
+The loop keeps only what each iterate yields: its margins, in a (T+1) x n
+array, the loss, ||theta||_q (and ||theta||_2 off q = 2), mu.theta, and theta
+itself at snapshots on a stride.  The log-losses, margin spreads, alignments
+and train errors are computed from these once, after the loop.  The margin
+array is bounded by the configuration: 0.8 MB at n = 50, T = 2000.
 
 Row space at q = 2: there g(theta) = theta/||theta||_2, so every step adds a
 combination of the rows z_k and rescales theta, and theta stays in the span
@@ -117,8 +121,8 @@ class TrainRecord:
     Arrays indexed by t = 0..T hold values at theta_t, so ``losses`` has
     length T + 1 and losses[0] equals n for the zero start.  ``alphas[m]``
     is the step applied to the gradient at theta_m.  ``snapshot_ts`` lists
-    the iterations with stored parameter vectors, per-sample margins, and
-    train errors.
+    the iterations with stored parameter vectors, per-sample margins (row i
+    of ``per_sample_margins`` for snapshot i), and train errors.
     """
 
     config: TrainConfig
@@ -133,7 +137,7 @@ class TrainRecord:
     alphas: np.ndarray
     snapshot_ts: list[int]
     thetas: list[np.ndarray]
-    per_sample_margins: list[np.ndarray]
+    per_sample_margins: np.ndarray
     train_errors: np.ndarray
     adv_train_errors: np.ndarray
     adv_margin: Optional[float] = None
@@ -146,51 +150,52 @@ class TrainRecord:
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
 
-    def snapshot_index(self, t: int) -> int:
-        try:
-            return self.snapshot_ts.index(t)
-        except ValueError:
-            raise KeyError(f"no snapshot at iteration {t}") from None
+
+def _log_losses(margins: np.ndarray, eps: float = 0.0, pen_norms=0.0) -> np.ndarray:
+    """log sum_k exp(-m_k) + eps*||theta||_q for each row m of margins.
+
+    The sum is shifted by the row's smallest margin so it stays finite; a row
+    whose smallest margin is inf (or nan) has left the representable range
+    and gives minus that margin.  At eps = 0 there is no norm term.
+    """
+    low = margins.min(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf on such rows
+        shifted = low[:, None] - margins
+        sums = np.exp(shifted, out=shifted).sum(axis=1)
+    # math.log per row: libm's bits, whatever numpy's vector log does
+    logs = np.array([math.log(s) for s in sums.tolist()]) - low
+    log_losses = np.where(np.isfinite(low), logs, -low)
+    return log_losses + eps * pen_norms if eps != 0.0 else log_losses
 
 
 def _log_exp_loss(margins: np.ndarray) -> float:
-    """log sum_k exp(-margins_k), shifted by the smallest margin so it stays finite."""
-    low = float(margins.min())
-    if not math.isfinite(low):
-        return -low  # inf (or nan) margins: the log-loss has left the representable range
-    return math.log(np.exp(low - margins).sum()) - low
+    """log sum_k exp(-margins_k), computed stably (``_log_losses`` of one row)."""
+    return float(_log_losses(margins[None, :])[0])
 
 
 def _worst_case(
     theta: np.ndarray, z: np.ndarray, eps: float, q: float, with_grad: bool = True
-) -> tuple[np.ndarray, float, float, float, Optional[np.ndarray]]:
-    """Margins z @ theta, loss, log-loss, ||theta||_q and (optionally) the gradient.
+) -> tuple[np.ndarray, float, float, Optional[np.ndarray]]:
+    """Margins z @ theta, loss, ||theta||_q and (optionally) the gradient.
 
     The loss and gradient may overflow while the log-loss stays finite.  At
     eps = 0 the weights are the unshifted exp(-margins), as in plain descent.
     """
     margins = z @ theta
     pen_norm = lp_norm(theta, q)
-    log_loss = _log_exp_loss(margins)
-    # overflowed weights are expected right before the divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        if eps == 0.0:
-            w = np.exp(-margins)
-        else:
-            w = np.exp(eps * pen_norm - margins)
-            log_loss += eps * pen_norm
-        loss = float(np.sum(w))
-        grad = None
-        if with_grad:
-            grad = -(z.T @ w)
-            if eps != 0.0:
-                grad = grad + (eps * loss) * norm_subgradient(theta, q)
-    return margins, loss, log_loss, pen_norm, grad
+    w = np.exp(-margins) if eps == 0.0 else np.exp(eps * pen_norm - margins)
+    loss = float(w.sum())
+    grad = None
+    if with_grad:
+        grad = -(z.T @ w)
+        if eps != 0.0:
+            grad = grad + (eps * loss) * norm_subgradient(theta, q)
+    return margins, loss, pen_norm, grad
 
 
 def _row_space_worst_case(
     c: np.ndarray, gram: np.ndarray, n: int, eps: float, to_theta, with_grad: bool = True
-) -> tuple[np.ndarray, float, float, float, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, float, float, Optional[np.ndarray]]:
     """``_worst_case`` at q = 2, eps > 0 for theta = B^T c, from gram = B B^T.
 
     The first n rows of B are the z_k, so the margins are (gram @ c)[:n] and
@@ -201,18 +206,15 @@ def _row_space_worst_case(
     """
     v = gram @ c
     margins = v[:n]
-    # overflowed weights are expected right before the divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = float(c @ v)
-        pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(to_theta(c), 2.0)
-        log_loss = _log_exp_loss(margins) + eps * pen_norm
-        w = np.exp(eps * pen_norm - margins)
-        loss = float(w.sum())
-        grad = None
-        if with_grad:
-            grad = (eps * loss / pen_norm) * c if pen_norm > 0.0 else np.zeros_like(c)
-            grad[:n] -= w
-    return margins, loss, log_loss, pen_norm, grad
+    sq = float(c @ v)
+    pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(to_theta(c), 2.0)
+    w = np.exp(eps * pen_norm - margins)
+    loss = float(w.sum())
+    grad = None
+    if with_grad:
+        grad = (eps * loss / pen_norm) * c if pen_norm > 0.0 else np.zeros_like(c)
+        grad[:n] -= w
+    return margins, loss, pen_norm, grad
 
 
 def _row_space(ds, theta0: Optional[np.ndarray], mu: Optional[np.ndarray]):
@@ -243,23 +245,29 @@ def _row_space(ds, theta0: Optional[np.ndarray], mu: Optional[np.ndarray]):
     return c0, gram, mu_c, to_theta
 
 
+def _evaluate(theta: np.ndarray, ds, model: PerturbationModel, with_grad: bool = True):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed loss is a value
+        return _worst_case(theta, ds.signed_features, model.epsilon, model.q, with_grad)
+
+
 def adversarial_loss(theta: np.ndarray, ds, model: PerturbationModel) -> float:
     """Worst-case exponential loss; may return inf when the sum overflows.
 
     The log-space value from ``adversarial_log_loss`` stays finite in that
     case and is the quantity to compare.
     """
-    return _worst_case(theta, ds.signed_features, model.epsilon, model.q, with_grad=False)[1]
+    return _evaluate(theta, ds, model, with_grad=False)[1]
 
 
 def adversarial_log_loss(theta: np.ndarray, ds, model: PerturbationModel) -> float:
     """log of the worst-case exponential loss, computed stably."""
-    return _worst_case(theta, ds.signed_features, model.epsilon, model.q, with_grad=False)[2]
+    margins, _, pen_norm, _ = _evaluate(theta, ds, model, with_grad=False)
+    return float(_log_losses(margins[None, :], model.epsilon, pen_norm)[0])
 
 
 def adversarial_loss_gradient(theta: np.ndarray, ds, model: PerturbationModel) -> np.ndarray:
     """Gradient (a subgradient at q-norm kinks) of the worst-case loss."""
-    return _worst_case(theta, ds.signed_features, model.epsilon, model.q)[4]
+    return _evaluate(theta, ds, model)[3]
 
 
 def alignment(theta: np.ndarray, mu: np.ndarray) -> float:
@@ -315,20 +323,6 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     else:
         alpha_first = alpha_rest = cfg.alpha
 
-    T = cfg.T
-    losses = np.full(T + 1, np.nan)
-    log_losses = np.full(T + 1, np.nan)
-    theta_l2 = np.full(T + 1, np.nan)
-    theta_q = np.full(T + 1, np.nan)
-    aligns = np.full(T + 1, np.nan)
-    spreads = np.full(T + 1, np.nan)
-    alphas = np.zeros(T)
-    snapshot_ts: list[int] = []
-    thetas: list[np.ndarray] = []
-    margins_snap: list[np.ndarray] = []
-    terr: list[float] = []
-    aerr: list[float] = []
-
     if theta0 is None:
         theta = np.zeros(d)
     else:
@@ -343,36 +337,33 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     if q == 2.0 and eps > 0.0 and k < d:
         x, gram, mu_x, to_theta = _row_space(ds, None if theta0 is None else theta, mu)
 
-        def evaluate(c: np.ndarray, with_grad: bool = True):
+        def evaluate(c: np.ndarray, with_grad: bool):
             return _row_space_worst_case(c, gram, n, eps, to_theta, with_grad)
     else:
         x, mu_x, to_theta = theta, mu, np.copy
 
-        def evaluate(th: np.ndarray, with_grad: bool = True):
+        def evaluate(th: np.ndarray, with_grad: bool):
             return _worst_case(th, z, eps, q, with_grad)
 
-    def want_snapshot(t: int) -> bool:
-        return t == 0 or t == 1 or t == T or t % cfg.record_every == 0
+    # what each iterate yields; the rest of the record is computed from these
+    T = cfg.T
+    margins = np.empty((T + 1, n))
+    losses = np.full(T + 1, np.nan)
+    theta_q = np.full(T + 1, np.nan)
+    theta_l2 = np.full(T + 1, np.nan)
+    dots = np.full(T + 1, np.nan)
+    alphas = np.zeros(T)
+    snapshot_ts: list[int] = []
+    thetas: list[np.ndarray] = []
 
-    def record(
-        t: int, x: np.ndarray, margins: np.ndarray, loss: float, log_loss: float, pen_norm: float
-    ):
-        losses[t] = loss
-        log_losses[t] = log_loss
-        # off q = 2 the loop runs on theta itself, so x is theta there
-        nrm2 = pen_norm if q == 2.0 else lp_norm(x, 2.0)
-        theta_l2[t] = nrm2
-        theta_q[t] = pen_norm
-        aligns[t] = float(mu_x @ x) / nrm2 if (mu_x is not None and nrm2 > 0) else np.nan
-        spreads[t] = float(margins.max() - margins.min())
-        if want_snapshot(t):
-            snapshot_ts.append(t)
-            thetas.append(to_theta(x))
-            margins_snap.append(margins.copy())
-            terr.append(float(np.mean(margins < 0.0)))
-            aerr.append(float(np.mean(margins - eps * pen_norm < 0.0)))
-
-    def make_record() -> TrainRecord:
+    def make_record(t: int) -> TrainRecord:
+        """The record of iterates 0..t, filled from the kept arrays."""
+        kept = margins[: t + 1]
+        log_losses, spreads, aligns = np.full((3, T + 1), np.nan)
+        log_losses[: t + 1] = _log_losses(kept, eps, theta_q[: t + 1])
+        spreads[: t + 1] = kept.max(axis=1) - kept.min(axis=1)
+        np.divide(dots, theta_l2, out=aligns, where=theta_l2 > 0.0)
+        snaps = margins[snapshot_ts]
         return TrainRecord(
             config=cfg,
             n=n,
@@ -386,33 +377,42 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             alphas=alphas,
             snapshot_ts=snapshot_ts,
             thetas=thetas,
-            per_sample_margins=margins_snap,
-            train_errors=np.asarray(terr),
-            adv_train_errors=np.asarray(aerr),
+            per_sample_margins=snaps,
+            train_errors=np.mean(snaps < 0.0, axis=1),
+            adv_train_errors=np.mean(snaps - eps * theta_q[snapshot_ts, None] < 0.0, axis=1),
             adv_margin=adv_margin_val,
             schedule_M=schedule_M,
         )
 
-    for t in range(T):
-        margins, loss, log_loss, pen_norm, grad = evaluate(x)
-        record(t, x, margins, loss, log_loss, pen_norm)
-        # linear loss may overflow while log_loss stays finite; only the
-        # log-space value decides divergence
-        if not math.isfinite(log_loss) or not np.isfinite(grad).all():
-            raise TrainingDiverged(
-                f"non-finite loss or gradient at iteration {t}", make_record(), t
-            )
-        alpha = alpha_first if t == 0 else alpha_rest
-        alphas[t] = alpha
-        x = x - alpha * grad
-
-    margins, loss, log_loss, pen_norm, _ = evaluate(x, with_grad=False)
-    record(T, x, margins, loss, log_loss, pen_norm)
-    if not math.isfinite(log_loss):
-        raise TrainingDiverged(
-            f"non-finite loss at iteration {T}", make_record(), T
-        )
-    return make_record()
+    # overflowed weights and losses are expected right before the divergence
+    # check, and inf or nan margins in the record of a diverged run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T + 1):
+            m, loss, pen_norm, grad = evaluate(x, t < T)
+            margins[t] = m
+            losses[t] = loss
+            theta_q[t] = pen_norm
+            # off q = 2 the loop runs on theta itself, so x is theta there
+            theta_l2[t] = pen_norm if q == 2.0 else lp_norm(x, 2.0)
+            if mu_x is not None:
+                dots[t] = mu_x @ x
+            if t % cfg.record_every == 0 or t == 1 or t == T:
+                snapshot_ts.append(t)
+                thetas.append(to_theta(x))
+            if t == T:
+                break
+            # the log-loss is finite iff the smallest margin and eps*||theta||_q
+            # are; where the latter is not, neither is the gradient
+            if not (math.isfinite(m.min()) and np.isfinite(grad).all()):
+                raise TrainingDiverged(
+                    f"non-finite loss or gradient at iteration {t}", make_record(t), t
+                )
+            alphas[t] = alpha = alpha_first if t == 0 else alpha_rest
+            x = x - alpha * grad
+        rec = make_record(T)
+    if not math.isfinite(rec.log_losses[T]):
+        raise TrainingDiverged(f"non-finite loss at iteration {T}", rec, T)
+    return rec
 
 
 def save_record_csv(rec: TrainRecord, path: str) -> None:

@@ -12,6 +12,7 @@ from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.training import (
     TrainConfig,
     TrainingDiverged,
+    _log_exp_loss,
     adversarial_log_loss,
     adversarial_loss,
     adversarial_loss_gradient,
@@ -213,7 +214,7 @@ def test_train_config_validation():
         TrainConfig(model=model, alpha=0.0)
     with pytest.raises(ValueError):
         TrainConfig(model=model, record_every=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="theta0 must have shape"):
         train(_dataset([[1.0, 0.0]], [1.0]), TrainConfig(model=model, T=2), theta0=np.zeros(3))
 
 
@@ -293,9 +294,42 @@ def test_record_snapshots_and_diagnostics_are_consistent():
         step = theta0 - 0.02 * adversarial_loss_gradient(theta0, ds, model_p)
         np.testing.assert_array_equal(rec_p.thetas[1], step)
 
-    assert rec.snapshot_index(10) == 2
-    with pytest.raises(KeyError):
-        rec.snapshot_index(11)
+    assert rec.snapshot_ts.index(10) == 2
+    assert 11 not in rec.snapshot_ts
+
+
+@pytest.mark.parametrize(
+    "p, eps, start",
+    [
+        (2.0, 0.15, "zero"),  # row space
+        (2.0, 0.15, "theta0"),  # row space with theta0 as one more row
+        (np.inf, 0.15, "zero"),  # q = 1
+        (1.0, 0.15, "theta0"),  # q = inf
+        (2.0, 0.0, "zero"),  # plain descent
+    ],
+)
+def test_record_filled_after_the_loop_matches_each_iterate(p, eps, start):
+    # the loop keeps each iterate's margins and norms; the log-losses,
+    # spreads and errors computed from them afterwards are the one-iterate
+    # formulas, bit for bit
+    spec = MixtureSpec(d=40, mu=mu_from_scaling(40, 0.4), eta=0.2, seed=5)
+    ds = generate(spec, 12)
+    theta0 = None if start == "zero" else np.random.default_rng(5).normal(size=40) / 6.0
+    cfg = TrainConfig(model=PerturbationModel(p, eps), alpha=2e-3, T=30, record_every=1)
+    rec = train(ds, cfg, theta0)
+
+    assert rec.snapshot_ts == list(range(31))
+    assert rec.per_sample_margins.shape == (31, 12)
+    for t in rec.snapshot_ts:
+        m = rec.per_sample_margins[t]
+        log_loss = _log_exp_loss(m)
+        if eps != 0.0:
+            log_loss += eps * rec.theta_q[t]
+        assert rec.log_losses[t] == log_loss
+        assert rec.margin_spread[t] == m.max() - m.min()
+        assert rec.train_errors[t] == np.mean(m < 0.0)
+        assert rec.adv_train_errors[t] == np.mean(m - eps * rec.theta_q[t] < 0.0)
+    assert np.any(rec.train_errors > 0.0)  # label noise: some margins stay negative
 
 
 def test_scheduled_steps_recomputed_from_margin():
@@ -364,6 +398,46 @@ def test_divergence_aborts_with_partial_record():
     assert math.isfinite(rec.log_losses[1])
     assert np.all(np.isnan(rec.losses[2:]))
     assert rec.snapshot_ts[-1] == 1
+
+
+def test_divergence_when_every_margin_overflows_upward():
+    # theta_1 = (inf, 0) scores the one sample at +inf: every weight, and so
+    # the gradient, is zero, but the log-loss is -inf
+    ds = _dataset([[100.0, 0.0]], [1.0])
+    cfg = TrainConfig(model=PerturbationModel(2.0, 0.0), alpha=1e308, T=3)
+    with pytest.raises(TrainingDiverged, match="at iteration 1") as exc:
+        train(ds, cfg)
+    rec = exc.value.record
+    assert exc.value.iteration == 1
+    assert rec.per_sample_margins[1][0] == math.inf and rec.losses[1] == 0.0
+    assert rec.log_losses[1] == -math.inf
+
+
+@pytest.mark.parametrize("path", ["theta", "row_space"])
+def test_divergence_at_the_final_iterate(path):
+    # one finite step of 1e308 overflows theta_1, so only the loss at t = T
+    # leaves the range; its margins are inf or nan, and filling the record
+    # from them must not warn
+    feats = [[100.0, 0.0, 0.0], [-90.0, 10.0, 0.0]]
+    ds = _dataset(feats, [1.0, 1.0])
+    model = PerturbationModel(2.0, 0.0 if path == "theta" else 0.1)
+    cfg = TrainConfig(model=model, alpha=1e308, T=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="non-finite loss at iteration 1") as exc:
+            train(ds, cfg)
+    err = exc.value
+    assert err.iteration == cfg.T
+    rec = err.record
+    assert rec.snapshot_ts == [0, 1]
+    assert len(rec.thetas) == len(rec.per_sample_margins) == 2
+    assert rec.alphas[0] == 1e308
+    assert rec.losses[0] == 2.0 and rec.log_losses[0] == pytest.approx(math.log(2.0))
+    # slot T holds theta_T's values, not the nan of an unfilled slot
+    assert rec.theta_q[1] == rec.theta_l2[1] == lp_norm(rec.thetas[1], 2.0) == math.inf
+    assert not np.any(np.isfinite(rec.per_sample_margins[1]))
+    assert not math.isfinite(rec.log_losses[1])
+    assert rec.train_errors.shape == rec.adv_train_errors.shape == (2,)
 
 
 def test_theta_l2_record_is_overflow_safe_off_q2():
