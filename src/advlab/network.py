@@ -12,9 +12,10 @@ The l2 attack runs on row coefficients instead: its steps are combinations
 of W1's rows, so each iterate is x + C W1 with C one h-vector per input, and
 the steps and projections need only C and the h x h Gram matrix W1 W1^T.
 The attack tracks the best iterate seen, so the attacked loss never falls
-below the clean loss.  It is the only scoring pass of a network point:
-training and evaluation read their losses, errors and risks from the clean
-margins of its first pass and the margins its best-iterate tracking holds.
+below the clean loss.  It is the only forward pass of a network point: its
+clean margins, best-iterate margins and the returned points' pre-activations
+feed the backward pass of training, which fills its log from each epoch's
+kept margins after the loop, and the risks of evaluation.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
@@ -36,7 +37,7 @@ from .norms import (
     project_onto_ball,
 )
 from .risk import RiskReport, _stream_eval_rows
-from .training import _log_exp_loss
+from .training import _log_losses
 
 __all__ = [
     "TwoLayerNet",
@@ -120,27 +121,30 @@ def loss_and_gradients(
     """
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    u = feats @ net.W1.T + net.b1
-    act = np.maximum(u, 0.0)
-    scores = act @ net.w2 + net.b2
+    u, scores, _ = _score_and_input_ascent(net, feats, labels, with_grad=False)
     # overflowed weights propagate as inf/nan and are caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        wexp = np.exp(-labels * scores)
-        loss = float(np.sum(wexp))
-        coef = -labels * wexp
-        dW2 = act.T @ coef
-        db2 = float(np.sum(coef))
-        # ReLU subgradient 0 at the kink: strict positivity mask
-        dU = coef[:, None] * ((u > 0.0) * net.w2[None, :])
-        dW1 = dU.T @ feats
-        db1 = dU.sum(axis=0)
-    return loss, TwoLayerNet(W1=dW1, b1=db1, w2=dW2, b2=db2)
+        return _backward(net, feats, labels, u, labels * scores)
+
+
+def _backward(
+    net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, u: np.ndarray, margins: np.ndarray
+) -> tuple[float, TwoLayerNet]:
+    """``loss_and_gradients`` from the rows' pre-activations u and margins
+    (weights exp(-margins)); the caller sets the floating-point error state."""
+    act = np.maximum(u, 0.0)
+    wexp = np.exp(-margins)
+    coef = -labels * wexp
+    # ReLU subgradient 0 at the kink: strict positivity mask
+    dU = coef[:, None] * ((u > 0.0) * net.w2[None, :])
+    grads = TwoLayerNet(W1=dU.T @ feats, b1=dU.sum(axis=0), w2=act.T @ coef, b2=float(np.sum(coef)))
+    return float(np.sum(wexp)), grads
 
 
 def _score_and_input_ascent(
     net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, with_grad: bool = True
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Scores plus (optionally) the per-row gradient of -y*score w.r.t. the input.
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Pre-activations, scores and (optionally) the per-row input gradient of -y*score.
 
     -y*score increases monotonically with the per-sample loss exp(-y*score),
     so its gradient gives the loss-ascent direction without the overflowing
@@ -149,16 +153,17 @@ def _score_and_input_ascent(
     u = feats @ net.W1.T + net.b1
     scores = np.maximum(u, 0.0) @ net.w2 + net.b2
     if not with_grad:
-        return scores, None
+        return u, scores, None
     ds_dx = ((u > 0.0) * net.w2[None, :]) @ net.W1
-    return scores, (-labels)[:, None] * ds_dx
+    return u, scores, (-labels)[:, None] * ds_dx
 
 
 def _pgd_attack_batch(
     net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, cfg: PgdConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized PGD over all rows: the best-seen iterates, the clean margins
-    y * f(x) from the attack's first pass, and y * f at the returned iterates.
+    y * f(x) from the attack's first pass, y * f at the returned iterates and
+    their pre-activations x W1^T + b1.
 
     The l2 attack (p = 2, a nonzero budget) runs on the n x h row
     coefficients of ``_pgd_l2_row_space``; every other attack runs the loop
@@ -169,10 +174,10 @@ def _pgd_attack_batch(
     attacks = eps > 0.0 and cfg.steps > 0
     if attacks and model.p == 2.0:
         return _pgd_l2_row_space(net, feats, labels, eps, cfg.steps, cfg.effective_step())
-    scores, grad = _score_and_input_ascent(net, feats, labels, with_grad=attacks)
+    u, scores, grad = _score_and_input_ascent(net, feats, labels, with_grad=attacks)
     clean_margin = labels * scores
     if not attacks:
-        return feats.copy(), clean_margin, clean_margin
+        return feats.copy(), clean_margin, clean_margin, u
     p = model.p
     q = dual_exponent(p)
     step = cfg.effective_step()
@@ -184,12 +189,12 @@ def _pgd_attack_batch(
         cand = cur + step * norm_subgradient_rows(grad, q)
         cur = feats + project_onto_ball(cand - feats, p, eps)
         # the last iterate is only scored: no step reads its gradient
-        scores, grad = _score_and_input_ascent(net, cur, labels, with_grad=k < cfg.steps - 1)
+        _, scores, grad = _score_and_input_ascent(net, cur, labels, with_grad=k < cfg.steps - 1)
         margin = labels * scores
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
         best[better] = cur[better]
-    return best, clean_margin, best_margin
+    return best, clean_margin, best_margin, best @ net.W1.T + net.b1
 
 
 def _pgd_l2_row_space(
@@ -199,64 +204,68 @@ def _pgd_l2_row_space(
     eps: float,
     steps: int,
     step: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The l2 attack, run on row coefficients.
 
     The input gradient of -y*score is A W1 with A = -y * (mask * w2), so from
     delta = 0 every step and every l2 rescale keeps delta = C W1 for an n x h
     matrix C.  With K = W1 W1^T the pre-activations are u0 + C K, the ascent
     step is A / sqrt(a K a^T) row by row and the projection rescales C by
-    eps / max(sqrt(c K c^T), eps); C K is carried along with C, so a step
-    costs O(n h^2) instead of O(n h d).  The best coefficients are turned
-    into inputs once, projected onto the ball in input space and rescored as
-    ``forward`` scores them, and a row whose rescored margin is not below its
-    clean one returns the clean point.  The projection matters only where
-    A W1 nearly cancels (W1 rows nearly parallel, with w2 weights of opposite
-    sign): there a K a^T loses its digits to rounding, and the coefficient
-    norms no longer bound the step or the iterate.
+    eps / max(sqrt(c K c^T), eps); C K is carried along with C, as the right
+    half of one n x 2h array [C | C K] that a step updates with [A | A K], so
+    a step costs O(n h^2) instead of O(n h d).  The best coefficients are
+    turned into inputs once, projected onto the ball in input space and
+    rescored as ``forward`` scores them, and a row whose rescored margin is
+    not below its clean one returns the clean point.  The projection matters
+    only where A W1 nearly cancels (W1 rows nearly parallel, with w2 weights
+    of opposite sign): there a K a^T loses its digits to rounding, and the
+    coefficient norms no longer bound the step or the iterate.
     """
     W1, w2 = net.W1, net.w2
+    h = net.h
     K = W1 @ W1.T
     u0 = feats @ W1.T + net.b1
     clean_margin = labels * (np.maximum(u0, 0.0) @ w2 + net.b2)
-    C = CK = np.zeros((feats.shape[0], net.h))
-    best_C = C.copy()
+    neg_yw2 = (-labels)[:, None] * w2
+    # A @ K is written into its half: a product with [I | K] rounds otherwise
+    A_AK = np.empty((feats.shape[0], 2 * h))
+    A, AK = A_AK[:, :h], A_AK[:, h:]
+    C_CK = np.zeros_like(A_AK)
+    C, CK = C_CK[:, :h], C_CK[:, h:]
+    best_C = np.zeros_like(C)
     best_margin = clean_margin
     u = u0
     for _ in range(steps):
-        A = (-labels)[:, None] * ((u > 0.0) * w2)
-        AK = A @ K
+        np.multiply(u > 0.0, neg_yw2, out=A)
+        np.matmul(A, K, out=AK)
         sq = np.einsum("ij,ij->i", A, AK)
         # a row whose input gradient vanishes does not move
-        t = (step / np.sqrt(np.where(sq > 0.0, sq, 1.0)) * (sq > 0.0))[:, None]
-        C = C + t * A
-        CK = CK + t * AK
+        moves = sq > 0.0
+        A_AK *= (step / np.sqrt(np.where(moves, sq, 1.0)) * moves)[:, None]
+        C_CK += A_AK
         # the carried C K is not C @ K exactly, so c K c^T can round below 0
         nrm = np.sqrt(np.maximum(np.einsum("ij,ij->i", C, CK), 0.0))
-        shrink = (eps / np.maximum(nrm, eps))[:, None]
-        C = C * shrink
-        CK = CK * shrink
+        C_CK *= (eps / np.maximum(nrm, eps))[:, None]
         u = u0 + CK
         margin = labels * (np.maximum(u, 0.0) @ w2 + net.b2)
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
-        best_C[better] = C[better]
+        np.copyto(best_C, C, where=better[:, None])
     best = feats + project_onto_ball(best_C @ W1, 2.0, eps)
-    scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
+    u, scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
     margin = labels * scores
     stayed = ~(margin < clean_margin)
     best[stayed] = feats[stayed]
-    return best, clean_margin, np.where(stayed, clean_margin, margin)
+    u[stayed] = u0[stayed]
+    return best, clean_margin, np.where(stayed, clean_margin, margin), u
 
 
 def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.ndarray:
     """Adversarial example for one input; the best iterate the attack saw."""
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    best, _, _ = _pgd_attack_batch(
-        net, np.asarray(x, dtype=float)[None, :], np.array([float(y)]), cfg
-    )
-    return best[0]
+    feats = np.asarray(x, dtype=float)[None, :]
+    return _pgd_attack_batch(net, feats, np.array([float(y)]), cfg)[0][0]
 
 
 @dataclass
@@ -288,49 +297,41 @@ def adv_train_nn(
     the t-th update, evaluated on that epoch's attacked batch; entry 0 is
     the initial network.  Raises on non-finite loss like the linear trainer.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     net = net.copy()
     feats = ds.features
     labels = ds.labels.astype(float)
-    losses = np.full(epochs + 1, np.nan)
-    log_losses = np.full(epochs + 1, np.nan)
-    p_l2 = np.full(epochs + 1, np.nan)
-    terr = np.full(epochs + 1, np.nan)
-    aerr = np.full(epochs + 1, np.nan)
-
-    for t in range(epochs + 1):
-        attacked, clean_margins, margins = _pgd_attack_batch(net, feats, labels, pgd)
-        with np.errstate(over="ignore"):
-            losses[t] = float(np.sum(np.exp(-margins)))
-        log_losses[t] = _log_exp_loss(margins)
-        p_l2[t] = net.param_l2()
-        terr[t] = float(np.mean(clean_margins < 0.0))
-        aerr[t] = float(np.mean(margins < 0.0))
-        if not math.isfinite(log_losses[t]):
-            raise RuntimeError(f"network training diverged at epoch {t}")
-        if t == epochs:
-            break
-        _, grads = loss_and_gradients(net, attacked, labels)
-        if not (
-            np.all(np.isfinite(grads.W1))
-            and np.all(np.isfinite(grads.b1))
-            and np.all(np.isfinite(grads.w2))
-            and math.isfinite(grads.b2)
-        ):
-            raise RuntimeError(f"network training diverged at epoch {t}")
-        net.W1 -= lr * grads.W1
-        net.b1 -= lr * grads.b1
-        net.w2 -= lr * grads.w2
-        net.b2 -= lr * grads.b2
-
-    log = NetTrainLog(
+    # each epoch's clean and attacked margins; the log is filled from them
+    clean, attacked = np.empty((2, epochs + 1, ds.n))
+    p_l2 = np.empty(epochs + 1)
+    # overflowed weights propagate as inf/nan and are caught by the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(epochs + 1):
+            x_adv, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
+            p_l2[t] = net.param_l2()
+            # the log-loss is finite iff the smallest margin is (``_log_losses``)
+            if not math.isfinite(attacked[t].min()):
+                raise RuntimeError(f"network training diverged at epoch {t}")
+            if t == epochs:
+                break
+            _, grads = _backward(net, x_adv, labels, u, attacked[t])
+            if not (all(np.isfinite(g).all() for g in (grads.W1, grads.b1, grads.w2))
+                    and math.isfinite(grads.b2)):
+                raise RuntimeError(f"network training diverged at epoch {t}")
+            net.W1 -= lr * grads.W1
+            net.b1 -= lr * grads.b1
+            net.w2 -= lr * grads.w2
+            net.b2 -= lr * grads.b2
+        losses = np.exp(-attacked).sum(axis=1)
+    return net, NetTrainLog(
         h=net.h,
         losses=losses,
-        log_losses=log_losses,
+        log_losses=_log_losses(attacked),
         param_l2=p_l2,
-        train_errors=terr,
-        adv_train_errors=aerr,
+        train_errors=np.mean(clean < 0.0, axis=1),
+        adv_train_errors=np.mean(attacked < 0.0, axis=1),
     )
-    return net, log
 
 
 def evaluate_nn_risks(
@@ -345,6 +346,8 @@ def evaluate_nn_risks(
     PGD only lower-bounds the true worst case, so the adversarial figure is
     a certified lower bound on the adversarial risk.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     eval_seed = spec.seed if seed is None else seed
     # PGD needs the observed labels, which the stream draws after all the
     # noise, so the rows are gathered whole into one m x d block
@@ -355,7 +358,7 @@ def evaluate_nn_risks(
 
     labels = _stream_eval_rows(spec, m, eval_seed, consume).astype(float)
 
-    _, clean_margins, adv_margins = _pgd_attack_batch(net, feats, labels, pgd)
+    _, clean_margins, adv_margins, _ = _pgd_attack_batch(net, feats, labels, pgd)
     return RiskReport.monte_carlo(
         float(np.mean(clean_margins < 0.0)), float(np.mean(adv_margins < 0.0)), m
     )

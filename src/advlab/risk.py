@@ -43,7 +43,6 @@ __all__ = [
     "misclassified_adversarially",
     "analytic_risk",
     "monte_carlo_risk",
-    "empirical_risks",
 ]
 
 
@@ -159,13 +158,6 @@ def _eval_margin_risks(
     return [
         _risks_of_margins(labels * s, theta, model) for s, theta in zip(scores, thetas)
     ]
-
-
-def empirical_risks(
-    theta: np.ndarray, feats: np.ndarray, labels: np.ndarray, model: PerturbationModel
-) -> tuple[float, float]:
-    """Fractions misclassified (standard, adversarial) on given samples."""
-    return _risks_of_margins(labels * (feats @ theta), theta, model)
 
 
 def _risks_of_margins(

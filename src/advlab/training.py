@@ -392,8 +392,11 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             margins[t] = m
             losses[t] = loss
             theta_q[t] = pen_norm
-            # off q = 2 the loop runs on theta itself, so x is theta there
-            theta_l2[t] = pen_norm if q == 2.0 else lp_norm(x, 2.0)
+            if q == 2.0:
+                theta_l2[t] = pen_norm
+            else:  # x is theta itself; x . x has the bits of lp_norm's |x| . |x|
+                sq = float(x @ x)
+                theta_l2[t] = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(x, 2.0)
             if mu_x is not None:
                 dots[t] = mu_x @ x
             if t % cfg.record_every == 0 or t == 1 or t == T:

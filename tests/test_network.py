@@ -231,7 +231,7 @@ def test_pgd_batch_margins_rescore_clean_and_returned_points(p):
     feats = rng.normal(size=(25, 7))
     labels = rng.choice([-1.0, 1.0], size=25)
     cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=6)
-    best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+    best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
     np.testing.assert_array_equal(clean, labels * forward(net, feats))
     np.testing.assert_array_equal(adv, labels * forward(net, best))
     assert np.any(adv < clean)
@@ -247,10 +247,46 @@ def test_pgd_batch_without_budget_returns_clean_margins_twice():
         PgdConfig(model=PerturbationModel(2.0, 0.0)),
         PgdConfig(model=PerturbationModel(2.0, 0.2), steps=0),
     ):
-        best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+        best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
         np.testing.assert_array_equal(best, feats)
         np.testing.assert_array_equal(clean, labels * forward(net, feats))
         np.testing.assert_array_equal(adv, clean)
+
+
+@pytest.mark.parametrize(
+    "d, h, p, eps",
+    [(12, 6, 2.0, 0.3), (6, 12, 2.0, 0.3), (12, 6, np.inf, 0.3), (12, 6, 2.0, 0.0)],
+    ids=["l2-h<d", "l2-h>=d", "linf", "no-budget"],
+)
+def test_pgd_batch_returns_pre_activations_of_its_points(d, h, p, eps):
+    """The gradient reads these: the rows of x W1^T + b1 at the returned points."""
+    rng = np.random.default_rng(19)
+    net = init_network(d=d, h=h, seed=5)
+    net.b1 = -0.1 - rng.random(h) * 0.1
+    feats = rng.normal(size=(30, d))
+    feats[:4] = 0.0  # every unit inactive: no ascent, so the clean point returns
+    labels = rng.choice([-1.0, 1.0], size=30)
+    cfg = PgdConfig(model=PerturbationModel(p, eps), steps=6)
+    best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
+    np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
+    np.testing.assert_array_equal(best[:4], feats[:4])
+    assert np.any(adv < clean) == (eps > 0.0)
+
+
+def test_pgd_l2_row_space_pre_activations_where_rows_nearly_cancel():
+    """Rows whose coefficients moved but whose rescored point is no better
+    return the clean point and with it the clean pre-activations."""
+    rng = np.random.default_rng(18)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.3), steps=10)
+    for _ in range(30):
+        W1 = rng.normal(size=(4, 10))
+        W1[1] = W1[0] * (1 + 10.0 ** rng.uniform(-12, -4))
+        net = TwoLayerNet(
+            W1=W1, b1=np.array([0.0, 0.0, -50.0, -50.0]), w2=np.array([1.0, -1.0, 0.0, 0.0]), b2=0.0
+        )
+        feats, labels = rng.normal(size=(20, 10)), rng.choice([-1.0, 1.0], size=20)
+        best, _, _, u = network._pgd_attack_batch(net, feats, labels, cfg)
+        np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
 
 
 def _dense_l2_attack(net, feats, labels, eps, steps):
@@ -276,7 +312,7 @@ def _dense_l2_attack(net, feats, labels, eps, steps):
 
 def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8):
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=steps)
-    best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+    best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
     ref = _dense_l2_attack(net, feats, labels, eps, steps)
     assert np.all(np.isfinite(best))
     gap = np.linalg.norm(best - ref, axis=1)
@@ -322,7 +358,7 @@ def test_pgd_l2_row_space_stays_in_ball_when_rows_nearly_cancel():
     def check(net, feats, labels):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best, clean, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+            best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
         assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
         np.testing.assert_array_equal(adv, labels * forward(net, best))
         assert np.all(adv <= clean)
@@ -351,7 +387,7 @@ def test_pgd_l2_row_space_reaches_closed_form_on_two_unit_linear_net():
     feats = rng.normal(size=(40, d)) + 0.5
     labels = rng.choice([-1.0, 1.0], size=40)
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=10)
-    _, _, adv = network._pgd_attack_batch(net, feats, labels, cfg)
+    _, _, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
     a = c * u
     clean = np.sum(np.exp(-labels * (feats @ a)))
     exact = np.sum(np.exp(-labels * (feats @ a) + eps * lp_norm(a, 2.0)))
@@ -483,6 +519,73 @@ def test_adv_train_nn_log_equals_rescoring_with_forward(monkeypatch, p):
         assert log.train_errors[t] == float(np.mean(clean < 0.0))
         assert log.adv_train_errors[t] == float(np.mean(adv < 0.0))
     assert log.train_errors[0] > 0.0 and log.adv_train_errors[0] > log.train_errors[0]
+
+
+def _reference_adv_train_nn(ds, net, pgd, epochs, lr):
+    """adv_train_nn as attack, loss_and_gradients on the attacked rows, update,
+    with each epoch's log values scored by ``forward``."""
+    net = net.copy()
+    feats, labels = ds.features, ds.labels.astype(float)
+    log = []
+    for t in range(epochs + 1):
+        attacked = network._pgd_attack_batch(net, feats, labels, pgd)[0]
+        clean = labels * forward(net, feats)
+        adv = labels * forward(net, attacked)
+        with np.errstate(over="ignore"):
+            loss = float(np.sum(np.exp(-adv)))
+        log.append(
+            (loss, _log_exp_loss(adv), net.param_l2(), np.mean(clean < 0.0), np.mean(adv < 0.0))
+        )
+        if t == epochs:
+            break
+        _, grads = loss_and_gradients(net, attacked, labels)
+        net.W1 -= lr * grads.W1
+        net.b1 -= lr * grads.b1
+        net.w2 -= lr * grads.w2
+        net.b2 -= lr * grads.b2
+    return net, np.array(log).T
+
+
+@pytest.mark.parametrize(
+    "d, h, p", [(12, 6, 2.0), (6, 12, 2.0), (12, 6, np.inf)], ids=["l2-h<d", "l2-h>=d", "linf"]
+)
+def test_adv_train_nn_is_bitwise_the_attack_then_loss_and_gradients_loop(d, h, p):
+    # the epoch reuses the attack's pre-activations and margins for the
+    # gradient and fills the log after the loop; neither may change a bit
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=7)
+    ds = generate(spec, 24)
+    net0 = init_network(d=d, h=h, seed=4)
+    cfg = PgdConfig(model=PerturbationModel(p, 0.15), steps=5)
+    net, log = adv_train_nn(ds, net0, cfg, epochs=40, lr=5e-3)
+    ref_net, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=40, lr=5e-3)
+    for block in ("W1", "b1", "w2"):
+        np.testing.assert_array_equal(getattr(net, block), getattr(ref_net, block))
+    assert net.b2 == ref_net.b2
+    for got, want in zip(
+        (log.losses, log.log_losses, log.param_l2, log.train_errors, log.adv_train_errors), ref_log
+    ):
+        np.testing.assert_array_equal(got, want)
+    assert log.losses[-1] < log.losses[0]
+
+
+def test_adv_train_nn_rejects_negative_epochs():
+    spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
+    ds = generate(spec, 10)
+    net0 = init_network(d=6, h=4, seed=0)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        adv_train_nn(ds, net0, cfg, epochs=-1)
+    net, log = adv_train_nn(ds, net0, cfg, epochs=0)
+    np.testing.assert_array_equal(net.W1, net0.W1)
+    assert log.epochs == 0 and np.isfinite(log.losses[0])
+
+
+def test_evaluate_nn_risks_rejects_nonpositive_m():
+    spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            evaluate_nn_risks(init_network(d=6, h=4, seed=0), spec, cfg, m=m)
 
 
 def test_evaluate_nn_risks_equal_rescoring_with_forward(monkeypatch):

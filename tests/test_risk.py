@@ -13,9 +13,9 @@ from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.risk import (
     _CHUNK_FLOATS,
     RiskReport,
+    _risks_of_margins,
     _stream_eval_rows,
     analytic_risk,
-    empirical_risks,
     misclassified_adversarially,
     monte_carlo_risk,
     normal_cdf,
@@ -25,6 +25,13 @@ from advlab.risk import (
 def _phi(x: float) -> float:
     # standard normal cdf via erfc, independent of the implementation's route
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def empirical_risks(theta, feats, labels, model) -> tuple[float, float]:
+    """Oracle: fractions misclassified (standard, adversarial) on given samples."""
+    margins = labels * (feats @ theta)
+    shift = model.epsilon * lp_norm(theta, model.q)
+    return float(np.mean(margins < 0.0)), float(np.mean(margins - shift < 0.0))
 
 
 def _spec(mu, eta=0.0, dist="gaussian", seed=0) -> MixtureSpec:
@@ -315,6 +322,6 @@ def test_empirical_risks_use_strict_inequalities():
         ]
     )
     labels = np.array([1.0, 1.0, 1.0, 1.0])
-    std, adv = empirical_risks(theta, feats, labels, model)
-    assert std == 0.25
-    assert adv == 0.5
+    assert empirical_risks(theta, feats, labels, model) == (0.25, 0.5)
+    # the convention monte_carlo_risk applies to its streamed margins
+    assert _risks_of_margins(labels * (feats @ theta), theta, model) == (0.25, 0.5)

@@ -456,6 +456,19 @@ def test_theta_l2_record_is_overflow_safe_off_q2():
         assert rec.theta_l2[0] == pytest.approx(1e160 * math.sqrt(20), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [np.inf, 1.0, 1.5], ids=["q1", "qinf", "q3"])
+def test_theta_l2_off_q2_is_lp_norm_of_each_snapshot(p):
+    # the dense loop takes ||theta||_2 from theta . theta, with lp_norm's bits
+    spec = MixtureSpec(d=40, mu=mu_from_scaling(40, 0.4), eta=0.2, seed=5)
+    ds = generate(spec, 12)
+    cfg = TrainConfig(model=PerturbationModel(p, 0.15), alpha=2e-3, T=60, record_every=1)
+    rec = train(ds, cfg)
+    assert rec.snapshot_ts == list(range(61))
+    for t, theta in zip(rec.snapshot_ts, rec.thetas):
+        assert rec.theta_l2[t] == lp_norm(theta, 2.0)
+    assert rec.theta_l2[0] == 0.0 and rec.theta_l2[-1] > 0.0
+
+
 def test_record_csv_round_trips(tmp_path):
     rng = np.random.default_rng(10)
     spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=3)
