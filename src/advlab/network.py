@@ -12,10 +12,10 @@ The l2 attack runs on row coefficients instead: its steps are combinations
 of W1's rows, so each iterate is x + C W1 with C one h-vector per input, and
 the steps and projections need only C and the h x h Gram matrix W1 W1^T.
 The attack tracks the best iterate seen, so the attacked loss never falls
-below the clean loss.  It is the only forward pass of a network point: its
-clean margins, best-iterate margins and the returned points' pre-activations
-feed the backward pass of training, which fills its log from each epoch's
-kept margins after the loop, and the risks of evaluation.
+below the clean loss.  It is the only forward pass of a network point: the
+gradient of a training epoch reads its pre-activations and margins at the
+returned points, training fills its log from each epoch's kept margins
+after the loop, and evaluation reads its risks from the margins.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.

@@ -225,15 +225,17 @@ def test_pgd_recovers_closed_form_on_induced_linear_net():
 # the ids keep the case names from when a random-start flag was a second parameter
 @pytest.mark.parametrize("p", [2.0, np.inf], ids=["2.0-False", "inf-False"])
 def test_pgd_batch_margins_rescore_clean_and_returned_points(p):
-    """The attack's margins are y * forward at the clean rows and at its iterates."""
+    """The attack's margins are y * forward at the clean rows and at its iterates,
+    and its pre-activations are those of its iterates."""
     rng = np.random.default_rng(12)
     net = init_network(d=7, h=9, seed=4)
     feats = rng.normal(size=(25, 7))
     labels = rng.choice([-1.0, 1.0], size=25)
     cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=6)
-    best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
+    best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
     np.testing.assert_array_equal(clean, labels * forward(net, feats))
     np.testing.assert_array_equal(adv, labels * forward(net, best))
+    np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
     assert np.any(adv < clean)
     assert np.all(adv <= clean)
 
@@ -247,46 +249,11 @@ def test_pgd_batch_without_budget_returns_clean_margins_twice():
         PgdConfig(model=PerturbationModel(2.0, 0.0)),
         PgdConfig(model=PerturbationModel(2.0, 0.2), steps=0),
     ):
-        best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
+        best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
         np.testing.assert_array_equal(best, feats)
         np.testing.assert_array_equal(clean, labels * forward(net, feats))
         np.testing.assert_array_equal(adv, clean)
-
-
-@pytest.mark.parametrize(
-    "d, h, p, eps",
-    [(12, 6, 2.0, 0.3), (6, 12, 2.0, 0.3), (12, 6, np.inf, 0.3), (12, 6, 2.0, 0.0)],
-    ids=["l2-h<d", "l2-h>=d", "linf", "no-budget"],
-)
-def test_pgd_batch_returns_pre_activations_of_its_points(d, h, p, eps):
-    """The gradient reads these: the rows of x W1^T + b1 at the returned points."""
-    rng = np.random.default_rng(19)
-    net = init_network(d=d, h=h, seed=5)
-    net.b1 = -0.1 - rng.random(h) * 0.1
-    feats = rng.normal(size=(30, d))
-    feats[:4] = 0.0  # every unit inactive: no ascent, so the clean point returns
-    labels = rng.choice([-1.0, 1.0], size=30)
-    cfg = PgdConfig(model=PerturbationModel(p, eps), steps=6)
-    best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
-    np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
-    np.testing.assert_array_equal(best[:4], feats[:4])
-    assert np.any(adv < clean) == (eps > 0.0)
-
-
-def test_pgd_l2_row_space_pre_activations_where_rows_nearly_cancel():
-    """Rows whose coefficients moved but whose rescored point is no better
-    return the clean point and with it the clean pre-activations."""
-    rng = np.random.default_rng(18)
-    cfg = PgdConfig(model=PerturbationModel(2.0, 0.3), steps=10)
-    for _ in range(30):
-        W1 = rng.normal(size=(4, 10))
-        W1[1] = W1[0] * (1 + 10.0 ** rng.uniform(-12, -4))
-        net = TwoLayerNet(
-            W1=W1, b1=np.array([0.0, 0.0, -50.0, -50.0]), w2=np.array([1.0, -1.0, 0.0, 0.0]), b2=0.0
-        )
-        feats, labels = rng.normal(size=(20, 10)), rng.choice([-1.0, 1.0], size=20)
-        best, _, _, u = network._pgd_attack_batch(net, feats, labels, cfg)
-        np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
+        np.testing.assert_array_equal(u, feats @ net.W1.T + net.b1)
 
 
 def _dense_l2_attack(net, feats, labels, eps, steps):
@@ -312,13 +279,14 @@ def _dense_l2_attack(net, feats, labels, eps, steps):
 
 def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8):
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=steps)
-    best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
+    best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
     ref = _dense_l2_attack(net, feats, labels, eps, steps)
     assert np.all(np.isfinite(best))
     gap = np.linalg.norm(best - ref, axis=1)
     assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=1))
     np.testing.assert_array_equal(clean, labels * forward(net, feats))
     np.testing.assert_array_equal(adv, labels * forward(net, best))
+    np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
     assert np.all(adv <= clean)
     assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
     return adv, clean
@@ -358,9 +326,11 @@ def test_pgd_l2_row_space_stays_in_ball_when_rows_nearly_cancel():
     def check(net, feats, labels):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best, clean, adv, _ = network._pgd_attack_batch(net, feats, labels, cfg)
+            best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
         assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
         np.testing.assert_array_equal(adv, labels * forward(net, best))
+        # a row sent back to the clean point takes the clean pre-activations
+        np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
         assert np.all(adv <= clean)
 
     for _ in range(30):
