@@ -220,11 +220,11 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mapping = load_config_file(args.config)
+    mapping = load_config_file(args.config)  # overrides are read as config text
     if args.out:
         mapping["output_dir"] = args.out
     if args.seed is not None:
-        mapping["base_seed"] = args.seed
+        mapping["base_seed"] = str(args.seed)
     cfg = config_from_mapping(mapping)
     written = run_figure(cfg, svg=args.format == "svg")
     for kind, path in written.items():

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .margins import standard_margin
 from .norms import PerturbationModel, lp_norm
 
 __all__ = [
@@ -215,8 +216,6 @@ def check_assumptions(ds: Dataset, model: PerturbationModel) -> AssumptionReport
     """Measure how comfortably a dataset sits inside the analyzed regime."""
     if ds.spec is None:
         raise ValueError("dataset carries no generating spec; assumptions need mu")
-    from .margins import standard_margin  # local import to avoid a cycle
-
     n, d = ds.n, ds.d
     mu = ds.spec.mu
     mu_sq = float(mu @ mu)

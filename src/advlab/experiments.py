@@ -170,29 +170,12 @@ class SweepRow:
 RAW_COLUMNS = ",".join(f.name for f in fields(SweepRow))
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return tuple(_parse_value(part) for part in raw.split(",") if part.strip())
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("inf", "+inf", "infinity"):
-        return math.inf
-    try:
-        iv = int(raw)
-        return iv
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+def load_config_file(path: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines ('#' comments) into {key: value text}.
 
-
-def load_config_file(path: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' comments; commas make tuples."""
-    out: dict = {}
+    The text is stripped and left for ``config_from_mapping`` to read.
+    """
+    out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -201,41 +184,63 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
-            out[key.strip()] = _parse_value(raw)
+            out[key.strip()] = raw.strip()
     return out
 
 
-_INT_FIELDS = {
-    "n", "T", "record_every", "seeds", "base_seed", "mc_samples",
-    "margin_iters", "h", "epochs", "pgd_steps",
+def _read_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)  # 1e5 is an integer; 2.7, inf and nan are not
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def _read_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _items(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# the reader of each ExperimentConfig annotation (a string: see __future__)
+_READERS = {
+    "int": _read_int,
+    "float": float,
+    "bool": _read_bool,
+    "str": str,
+    "Optional[str]": str,
+    "tuple[int, ...]": lambda text: tuple(map(_read_int, _items(text))),
+    "float | tuple[float, ...]": (
+        lambda text: tuple(map(float, _items(text))) if "," in text else float(text)
+    ),
 }
-_FLOAT_FIELDS = {"eta", "p", "alpha", "G", "lr"}
-_TUPLE_INT_FIELDS = {"d_grid"}
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed key/value pairs."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(mapping) - known
+    """Build an ExperimentConfig from {key: value text}, e.g. a config file's.
+
+    Each field's annotation picks the reader of its text, ``str(value)``:
+    integers (1e5 too), floats (inf too), true/false, text as written, and
+    comma lists, so "0.1," is a one-value tuple.  An unknown key or a text
+    its reader rejects raises ValueError naming the key.
+    """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(mapping) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    coerced = {}
-    for key, val in mapping.items():
-        if key in _INT_FIELDS:
-            val = int(val)
-        elif key in _FLOAT_FIELDS:
-            val = float(val)
-        elif key in _TUPLE_INT_FIELDS:
-            if not isinstance(val, (tuple, list)):
-                val = (val,)
-            val = tuple(int(v) for v in val)
-        elif key in ("epsilon", "r"):
-            if isinstance(val, (tuple, list)):
-                val = tuple(float(v) for v in val)
-            else:
-                val = float(val)
-        coerced[key] = val
-    return ExperimentConfig(**coerced)
+    values = {}
+    for key, value in mapping.items():
+        try:
+            values[key] = _READERS[types[key]](str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: cannot read {value!r} as {types[key]}") from None
+    return ExperimentConfig(**values)
 
 
 def _run_setup(

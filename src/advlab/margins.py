@@ -16,7 +16,7 @@ epsilon = 0).  Accelerated projected gradient with gradient restart
 minimizes half the squared distance; the residual r = Z^T lam - P(Z^T lam)
 gives the primal direction r/||r||, and ||r|| bounds the optimum from
 above, so certificate_gap is that bound minus the value at the direction.
-Solvers stop once certificate_gap <= gap_tol * max(1, |value|): the
+Solvers stop once certificate_gap <= GAP_TOL * max(1, |value|): the
 tolerance is absolute for values up to 1 and relative beyond, where rounding
 in the margins alone exceeds any fixed gap.
 
@@ -62,7 +62,7 @@ __all__ = ["MarginResult", "standard_margin", "adversarial_margin"]
 
 DEFAULT_MAX_ITER = 5000
 # stopping gap, scaled by max(1, |value|)
-DEFAULT_GAP_TOL = 1e-10
+GAP_TOL = 1e-10
 # revised dual simplex (q = 1): pivots between fresh basis inverses, the
 # least basic value that counts as feasible, and the least pivot relative
 # to the largest entry of its row
@@ -97,9 +97,9 @@ def _objective(z: np.ndarray, theta: np.ndarray, eps: float, q: float) -> tuple[
     return val, k
 
 
-def _tolerance(value: float, gap_tol: float) -> float:
-    """The gap that counts as closed at this value: gap_tol * max(1, |value|)."""
-    return gap_tol * max(1.0, abs(value)) if math.isfinite(value) else gap_tol
+def _tolerance(value: float) -> float:
+    """The gap that counts as closed at this value: GAP_TOL * max(1, |value|)."""
+    return GAP_TOL * max(1.0, abs(value)) if math.isfinite(value) else GAP_TOL
 
 
 def _residual(w: np.ndarray, ball_p: float, eps: float) -> np.ndarray:
@@ -184,7 +184,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _solve_dual(
-    z: np.ndarray, eps: float, pen_q: float, max_iter: int, gap_tol: float
+    z: np.ndarray, eps: float, pen_q: float, max_iter: int
 ) -> tuple[np.ndarray | None, float, float, int]:
     """Dual of the Euclidean-sphere problem over the simplex.
 
@@ -199,8 +199,8 @@ def _solve_dual(
     r/||r|| is a unit direction whose objective value is a lower bound.
 
     Returns (best direction or None, its value, least upper bound, iterations);
-    stops when the bounds close to gap_tol * max(1, |value|), or when the
-    upper bound falls to gap_tol without a positive value (no positive
+    stops when the bounds close to GAP_TOL * max(1, |value|), or when the
+    upper bound falls to GAP_TOL without a positive value (no positive
     optimum to certify).
     """
     n = z.shape[0]
@@ -233,8 +233,8 @@ def _solve_dual(
             val, _ = _objective(z, theta, eps, pen_q)
             if val > best_val:
                 best_val, best_theta = val, theta
-        if upper - best_val <= _tolerance(best_val, gap_tol) or (
-            upper <= gap_tol and best_val <= 0.0
+        if upper - best_val <= _tolerance(best_val) or (
+            upper <= GAP_TOL and best_val <= 0.0
         ):
             break
         if float((y - xn) @ (xn - x)) > 0.0:
@@ -247,9 +247,7 @@ def _solve_dual(
     return best_theta, best_val, upper, it
 
 
-def _solve_covering_lp(
-    z: np.ndarray, max_iter: int, gap_tol: float
-) -> tuple[np.ndarray | None, float, int]:
+def _solve_covering_lp(z: np.ndarray, max_iter: int) -> tuple[np.ndarray | None, float, int]:
     """The q = 1 standard margin as a covering LP, by a revised dual simplex.
 
     The margin is the value v of the matrix game with payoff A = [Z, -Z],
@@ -267,7 +265,7 @@ def _solve_covering_lp(
     The multipliers u = c_B B^-1 stay dual feasible, so lam = u / sum(u)
     bounds the margin from above by ||Z^T lam||_inf, and the basic w gives
     the direction w+ - w-.  Returns (that direction, the bound, pivots) when
-    the bounds close to gap_tol * max(1, |value|), else (None, inf, pivots):
+    the bounds close to GAP_TOL * max(1, |value|), else (None, inf, pivots):
     the LP is infeasible (v <= 0), hit max_iter pivots, or left a wider gap.
     """
     n, d = z.shape
@@ -344,7 +342,7 @@ def _solve_covering_lp(
         return None, math.inf, pivots
     upper = _dual_upper_bound(z, lam / total, 0.0, 1.0, 1.0)
     value, _ = _objective(z, direction, 0.0, 1.0)
-    if upper - value > _tolerance(value, gap_tol):
+    if upper - value > _tolerance(value):
         return None, math.inf, pivots
     return direction, upper, pivots
 
@@ -355,7 +353,6 @@ def _solve(
     eps: float,
     pen_q: float,
     max_iter: int,
-    gap_tol: float,
 ) -> MarginResult:
     n, d = z.shape
     scale = float(np.max(np.linalg.norm(z, axis=1)))
@@ -443,7 +440,7 @@ def _solve(
                         best_upper = min(best_upper, upper)
                 recent[:] = 0.0
                 gap = max(0.0, best_upper - best_val)
-                if gap <= _tolerance(best_val, gap_tol):
+                if gap <= _tolerance(best_val):
                     return
 
     if d == 2:
@@ -457,12 +454,10 @@ def _solve(
         width = 2.0 * math.pi / 1024.0 / 8.0 ** 10
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
     elif sphere_q == 2.0:
-        dual_theta, best_val, best_upper, total_iters = _solve_dual(
-            z, eps, pen_q, max_iter, gap_tol
-        )
+        dual_theta, best_val, best_upper, total_iters = _solve_dual(z, eps, pen_q, max_iter)
         if dual_theta is not None:
             best_theta = dual_theta
-        if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val, gap_tol):
+        if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val):
             # no positive optimum to certify: the sphere optimum is negative
             # (the dual value is 0), so ascend on the sphere itself
             _ascend(start, on_ball=False)
@@ -470,13 +465,13 @@ def _solve(
         # standard margin at q != 2; at q = 1 a certified LP optimum stands
         lp_theta = None
         if sphere_q == 1.0:
-            lp_theta, best_upper, total_iters = _solve_covering_lp(z, max_iter, gap_tol)
+            lp_theta, best_upper, total_iters = _solve_covering_lp(z, max_iter)
         if lp_theta is not None:
             best_theta = lp_theta
         else:
             # homogeneous: the ball and sphere optima agree when positive
             _ascend(start, on_ball=True)
-            if best_val <= 0.0 and gap > _tolerance(best_val, gap_tol):
+            if best_val <= 0.0 and gap > _tolerance(best_val):
                 # non-separable: the sphere optimum is negative and off the ball path
                 _ascend(start, on_ball=False)
 
@@ -493,7 +488,6 @@ def standard_margin(
     ds: "Dataset",
     q: float,
     max_iter: int = DEFAULT_MAX_ITER,
-    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> MarginResult:
     """Best min-margin over unit q-norm directions.
 
@@ -506,7 +500,6 @@ def standard_margin(
         eps=0.0,
         pen_q=float(q),
         max_iter=max_iter,
-        gap_tol=gap_tol,
     )
 
 
@@ -514,7 +507,6 @@ def adversarial_margin(
     ds: "Dataset",
     model: PerturbationModel,
     max_iter: int = DEFAULT_MAX_ITER,
-    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> MarginResult:
     """Best perturbation-adjusted min-margin over unit Euclidean directions.
 
@@ -528,5 +520,4 @@ def adversarial_margin(
         eps=float(model.epsilon),
         pen_q=float(model.q),
         max_iter=max_iter,
-        gap_tol=gap_tol,
     )

@@ -168,11 +168,6 @@ def _log_losses(margins: np.ndarray, eps: float = 0.0, pen_norms=0.0) -> np.ndar
     return log_losses + eps * pen_norms if eps != 0.0 else log_losses
 
 
-def _log_exp_loss(margins: np.ndarray) -> float:
-    """log sum_k exp(-margins_k), computed stably (``_log_losses`` of one row)."""
-    return float(_log_losses(margins[None, :])[0])
-
-
 def _worst_case(
     theta: np.ndarray, z: np.ndarray, eps: float, q: float, with_grad: bool = True
 ) -> tuple[np.ndarray, float, float, Optional[np.ndarray]]:

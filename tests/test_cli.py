@@ -318,6 +318,43 @@ def test_sweep_nn_config_without_mc_samples_fails_before_training(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+_TINY_SWEEP = (
+    "figure_id = custom\n"
+    "n = 8\n"
+    "d_grid = 20\n"
+    "T = 10\n"
+    "record_every = 5\n"
+    "seeds = 1\n"
+    "margins = false\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "seeds = 2.7", "T = true", "n = inf", "margins = no", "d_grid = 100.5, 200",
+        "p = two", "epsilon = 0.1, x",
+    ],
+)
+def test_sweep_unreadable_config_value_is_runtime_error(tmp_path, capsys, line):
+    # a later line overrides the tiny sweep's value of the same key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_TINY_SWEEP + line + "\n")
+    key = line.split(" = ")[0]
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_keeps_text_values_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "text.cfg"
+    cfg.write_text(_TINY_SWEEP + "output_dir = 2024\nname = 1e3\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--format", "csv"]) == 0
+    assert (tmp_path / "2024" / "1e3_raw.csv").exists()
+    assert (tmp_path / "2024" / "1e3_agg.csv").exists()
+
+
 def test_sweep_svg_format_writes_panels(tmp_path):
     cfg = tmp_path / "fig.cfg"
     cfg.write_text(

@@ -2,10 +2,12 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
 from advlab.experiments import (
+    _READERS,
     RAW_COLUMNS,
     ExperimentConfig,
     SweepRow,
@@ -73,6 +75,26 @@ def test_config_rejects_unknown_keys_and_bad_lines(tmp_path):
     path.write_text("no equals sign here\n")
     with pytest.raises(ValueError, match="bad.cfg:1"):
         load_config_file(str(path))
+
+
+def test_config_int_fields_read_integral_floats(tmp_path):
+    path = tmp_path / "mc.cfg"
+    path.write_text("eval = monte_carlo\nmc_samples = 1e5\nseeds = 3\n")
+    cfg = config_from_mapping(load_config_file(str(path)))
+    assert cfg.mc_samples == 100000 and type(cfg.mc_samples) is int
+    assert cfg.seeds == 3 and type(cfg.seeds) is int
+
+
+def test_every_config_field_has_a_reader():
+    # a field with a new annotation must get a reader here, not fail a user
+    for f in fields(ExperimentConfig):
+        assert f.type in _READERS, f.name
+        if f.default is None:
+            continue
+        default = f.default
+        text = ",".join(map(str, default)) + "," if isinstance(default, tuple) else str(default)
+        value = _READERS[f.type](text)
+        assert value == default and type(value) is type(default), f.name
 
 
 def test_config_validation():

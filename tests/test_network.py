@@ -19,7 +19,7 @@ from advlab.network import (
     pgd_attack,
 )
 from advlab.norms import PerturbationModel, lp_norm, norm_subgradient_rows, project_onto_ball
-from advlab.training import _log_exp_loss
+from oracles import _log_exp_loss
 
 
 def _dataset(features, labels) -> Dataset:

@@ -12,7 +12,6 @@ from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.training import (
     TrainConfig,
     TrainingDiverged,
-    _log_exp_loss,
     adversarial_log_loss,
     adversarial_loss,
     adversarial_loss_gradient,
@@ -20,6 +19,7 @@ from advlab.training import (
     save_record_csv,
     train,
 )
+from oracles import _log_exp_loss
 
 
 def _dataset(features, labels) -> Dataset:
