@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .data import Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
+from .data import NOISE_DISTS, Dataset, MixtureSpec, generate, mu_from_scaling, write_csv
 from .margins import adversarial_margin, standard_margin
 from .network import (
     PgdConfig,
@@ -36,7 +36,7 @@ from .network import (
 from .norms import PerturbationModel
 from .risk import _eval_margin_risks, analytic_risk, normal_cdf
 from .svgplot import Series, write_line_plot
-from .training import TrainConfig, summed_step, train
+from .training import STEP_MODES, TrainConfig, summed_step, train
 
 __all__ = [
     "FIGURE_IDS",
@@ -59,6 +59,7 @@ _AGG_METRICS = (
     "margin_std",
     "margin_adv",
 )
+_AGG_KEYS = tuple((m, f"{m}_mean", f"{m}_stderr") for m in _AGG_METRICS)
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,10 @@ class ExperimentConfig:
             raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {self.figure_id!r}")
         if self.eval not in ("analytic", "monte_carlo"):
             raise ValueError(f"eval must be 'analytic' or 'monte_carlo', got {self.eval!r}")
+        if self.step_mode not in STEP_MODES:
+            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
+        if self.noise_dist not in NOISE_DISTS:
+            raise ValueError(f"noise_dist must be one of {NOISE_DISTS}, got {self.noise_dist!r}")
         for name, least in (
             ("n", 1), ("T", 1), ("record_every", 1), ("seeds", 1), ("margin_iters", 1),
             ("mc_samples", 1), ("h", 1), ("epochs", 0), ("pgd_steps", 0),
@@ -369,17 +374,18 @@ def _aggregate(rows: list[SweepRow], gaussian: bool = True) -> list[dict]:
             if gaussian
             else math.nan
         )
-        for metric in _AGG_METRICS:
-            vals = np.array([getattr(g, metric) for g in grp], dtype=float)
-            vals = vals[np.isfinite(vals)]
-            if vals.size == 0:
-                rec[f"{metric}_mean"] = math.nan
-                rec[f"{metric}_stderr"] = math.nan
+        for metric, mean_key, stderr_key in _AGG_KEYS:
+            vals = [v for v in map(attrgetter(metric), grp) if math.isfinite(v)]
+            if not vals:
+                mean = stderr = math.nan
+            elif len(vals) == 1:  # numpy's sum starts at +0.0, so -0.0 reads 0.0
+                mean, stderr = float(vals[0]) + 0.0, 0.0
             else:
-                rec[f"{metric}_mean"] = float(vals.mean())
-                rec[f"{metric}_stderr"] = (
-                    float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-                )
+                arr = np.array(vals, dtype=float)
+                mean = float(arr.mean())
+                stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
+            rec[mean_key] = mean
+            rec[stderr_key] = stderr
         out.append(rec)
     return out
 

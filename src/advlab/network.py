@@ -353,8 +353,8 @@ def evaluate_nn_risks(
     # noise, so the rows are gathered whole into one m x d block
     feats = np.empty((m, spec.d))
 
-    def consume(rows: slice, chunk: np.ndarray) -> None:
-        feats[rows] = chunk
+    def consume(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
+        np.add(clean[:, None] * spec.mu, xi, out=feats[rows])
 
     labels = _stream_eval_rows(spec, m, eval_seed, consume).astype(float)
 

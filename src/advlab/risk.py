@@ -24,7 +24,13 @@ order, then the m flip uniforms.  ``_stream_eval_rows`` draws the noise in
 row chunks of about 512 KB and hands each chunk to its caller while it is
 in cache, so Monte Carlo risk holds O(m + chunk) floats, never an m x d
 block.  Philox keeps its state between calls, so the chunked draws are
-the same values as one block draw.
+the same values as one block draw.  A sample's features are c*mu + xi
+(clean label c, noise row xi), and theta scores it linearly: the margin is
+y*(xi.theta + c*(mu.theta)), with xi.theta taken from the raw noise chunk
+and mu.theta once per theta, so no feature chunk is formed.  That sum is
+split differently from (c*mu + xi).theta, so a margin may differ from it
+in its last bits (about 1e-15 relative); an estimate changes only through
+a margin that close to 0 or to the shift epsilon*||theta||_q.
 """
 
 from __future__ import annotations
@@ -124,18 +130,25 @@ def _stream_eval_rows(spec: MixtureSpec, m: int, seed: int, consume) -> np.ndarr
 
     Same law as ``data.generate`` (label bit, noise, flip), drawn from the
     stream (seed, STREAM_EVAL) in the order of the module docstring.  Each
-    chunk's features ``clean * mu + xi`` go to ``consume(rows, feats)``,
-    with ``rows`` the slice of sample indices they hold; ``feats`` is only
-    valid during the call.
+    chunk goes to ``consume(rows, clean, xi)``: ``rows`` is the slice of
+    sample indices it holds, ``clean`` their clean labels and ``xi`` their
+    noise rows, so the features are ``clean[:, None] * mu + xi``.  ``xi``
+    is only valid during the call: gaussian chunks reuse one buffer.
     """
     rng = keyed_rng(seed, STREAM_EVAL)
     clean = np.where(rng.integers(0, 2, size=m) == 0, 1, -1).astype(np.int64)
     step = max(1, _CHUNK_FLOATS // spec.d)
+    gaussian = spec.noise_dist == "gaussian"
+    buf = np.empty(min(step, m) * spec.d) if gaussian else None
     for lo in range(0, m, step):
         rows = slice(lo, min(lo + step, m))
-        feats = _draw_noise(rng, spec.noise_dist, (rows.stop - lo) * spec.d).reshape(-1, spec.d)
-        feats += clean[rows, None] * spec.mu
-        consume(rows, feats)
+        size = (rows.stop - lo) * spec.d
+        if gaussian:  # the values of _draw_noise, without a fresh array
+            xi = buf[:size]
+            rng.standard_normal(out=xi)
+        else:
+            xi = _draw_noise(rng, spec.noise_dist, size)
+        consume(rows, clean[rows], xi.reshape(-1, spec.d))
     flips = rng.random(m) < spec.eta
     return np.where(flips, -clean, clean)
 
@@ -145,19 +158,22 @@ def _eval_margin_risks(
 ) -> list[tuple[float, float]]:
     """(standard, adversarial) Monte Carlo risks of each theta on one stream.
 
-    Every theta is scored on the same m samples, chunk by chunk, so only
-    the len(thetas) x m margins are kept.
+    Every theta is scored on the same m samples, chunk by chunk, as
+    xi.theta + c*(mu.theta) (module docstring), so only the len(thetas) x m
+    margins are kept, and they are made in place.
     """
     scores = np.empty((len(thetas), m))
+    mean_dots = [float(spec.mu @ theta) for theta in thetas]
 
-    def consume(rows: slice, feats: np.ndarray) -> None:
+    def consume(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
         for k, theta in enumerate(thetas):
-            scores[k, rows] = feats @ theta
+            score = scores[k, rows]
+            np.matmul(xi, theta, out=score)
+            score += clean * mean_dots[k]
 
     labels = _stream_eval_rows(spec, m, seed, consume)
-    return [
-        _risks_of_margins(labels * s, theta, model) for s, theta in zip(scores, thetas)
-    ]
+    scores *= labels
+    return [_risks_of_margins(s, theta, model) for s, theta in zip(scores, thetas)]
 
 
 def _risks_of_margins(
@@ -181,9 +197,12 @@ def monte_carlo_risk(
     estimate exact per sample, so the only error is binomial.  The samples
     are drawn in the stream order of the module docstring and scored chunk
     by chunk: memory is O(m) floats plus one chunk of about 512 KB.  The
-    samples are those of one m x d block draw; BLAS may sum a chunk's
-    margins in another order (last-bit differences, about 1e-14 at d=1000),
-    which changes an estimate only for a margin that close to a boundary.
+    samples are those of one m x d block draw.  Each margin is scored as
+    y*(xi.theta + c*(mu.theta)), not y*((c*mu + xi).theta), and BLAS may
+    sum a chunk's products in another order, so a margin may differ from
+    the block's in its last bits (about 1e-15 relative).  That changes an
+    estimate only for a margin within that distance of 0 or of the shift
+    epsilon*||theta||_q.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

@@ -346,6 +346,28 @@ def test_sweep_unreadable_config_value_is_runtime_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (_TINY_SWEEP + "step_mode = bogus\n", "step_mode"),
+        (_TINY_SWEEP + "noise_dist = bogus\n", "noise_dist"),
+        # the network path never reads step_mode, so only the config check sees it
+        (
+            "figure_id = nn_risk_vs_d\nn = 8\nd_grid = 12\nepochs = 2\nseeds = 1\n"
+            "mc_samples = 50\nmargins = false\nstep_mode = bogus\n",
+            "step_mode",
+        ),
+    ],
+    ids=["step_mode", "noise_dist", "nn_step_mode"],
+)
+def test_sweep_unknown_mode_or_noise_is_runtime_error(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_keeps_text_values_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "text.cfg"

@@ -2,11 +2,13 @@
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from advlab.experiments import (
+    _AGG_METRICS,
     _READERS,
     RAW_COLUMNS,
     ExperimentConfig,
@@ -171,6 +173,44 @@ def test_aggregate_groups_by_grid_point_and_keeps_order():
     assert agg[1]["adv_risk_stderr"] == 0.0
 
 
+def _numpy_mean_stderr(values):
+    """The aggregate of one metric as a numpy reduction: the bits to keep."""
+    vals = np.array(values, dtype=float)
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        return math.nan, math.nan
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 3, 7, 8, 9, 17])
+def test_aggregate_keeps_numpy_bits(seeds):
+    # pairwise summation sets the last bits from 8 values on; -0.0 and nan
+    # rows are the edge cases of a one-value mean
+    rng = np.random.default_rng(seeds)
+    rows = []
+    for t in range(4):
+        for seed in range(seeds):
+            vals = rng.normal(size=len(_AGG_METRICS)) * 10.0 ** rng.integers(-8, 8)
+            if t == 0:
+                vals[:3] = math.nan
+            if t == 1:
+                vals[3] = -0.0
+            if t == 2 and seed % 2:
+                vals[4] = math.inf
+            rows.append(
+                replace(_row(seed, t, 0.0), **dict(zip(_AGG_METRICS, vals.tolist())))
+            )
+    agg = _aggregate(rows)
+    assert [rec["seeds"] for rec in agg] == [seeds] * 4
+    for t, rec in enumerate(agg):
+        grp = rows[t * seeds:(t + 1) * seeds]
+        for metric in _AGG_METRICS:
+            want = _numpy_mean_stderr([getattr(row, metric) for row in grp])
+            got = (rec[f"{metric}_mean"], rec[f"{metric}_stderr"])
+            assert repr(got) == repr(want), (t, metric)
+
+
 # -------------------------------------------------------------------- figures
 
 
@@ -277,6 +317,43 @@ def test_run_figure_monte_carlo_eval(tmp_path):
         if row["t"] != "0":
             assert 0.0 <= float(row["std_risk"]) <= 1.0
         assert row["margin_std"] == "nan"
+
+
+def test_monte_carlo_sweep_rows_are_monte_carlo_risk_of_each_snapshot(tmp_path, monkeypatch):
+    # the sweep scores all snapshots on one stream; each row must equal the
+    # single-theta estimate on the same seed
+    from advlab import experiments
+    from advlab.data import MixtureSpec, mu_from_scaling
+    from advlab.norms import PerturbationModel
+    from advlab.risk import monte_carlo_risk
+
+    records = []
+    train = experiments.train
+
+    def spy(ds, tc):
+        records.append(train(ds, tc))
+        return records[-1]
+
+    monkeypatch.setattr(experiments, "train", spy)
+    cfg = _tiny_cfg(
+        tmp_path, eval="monte_carlo", mc_samples=3000, d_grid=(30,), r=0.3, p=math.inf,
+        epsilon=0.05, seeds=1, margins=False, T=40, record_every=10,
+    )
+    seed = 4
+    rows = experiments._linear_rows(cfg, 30, 0.3, 0.05, seed)
+    [rec] = records
+    spec = MixtureSpec(d=30, mu=mu_from_scaling(30, 0.3), eta=cfg.eta, seed=seed)
+    model = PerturbationModel(cfg.p, 0.05)
+    assert [row.t for row in rows] == list(rec.snapshot_ts)
+    scored = 0
+    for row, theta in zip(rows, rec.thetas):
+        if not np.any(theta):
+            assert math.isnan(row.std_risk) and math.isnan(row.adv_risk)
+            continue
+        want = monte_carlo_risk(theta, spec, model, m=cfg.mc_samples, seed=seed)
+        assert (row.std_risk, row.adv_risk) == (want.std_risk, want.adv_risk), row.t
+        scored += 1
+    assert scored == len(rows) - 1
 
 
 def test_run_figure_adv_risk_vs_t_panel(tmp_path):

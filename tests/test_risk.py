@@ -242,7 +242,9 @@ def test_mc_eval_stream_disjoint_from_training_samples():
     spec = _spec(np.array([1.0, 0.0]), eta=0.0, seed=9)
     train = generate(spec, 50).features
     evals = []
-    _stream_eval_rows(spec, 50, spec.seed, lambda rows, feats: evals.append(feats.copy()))
+    _stream_eval_rows(
+        spec, 50, spec.seed, lambda rows, clean, xi: evals.append(clean[:, None] * spec.mu + xi)
+    )
     evals = np.concatenate(evals)
     assert evals.shape == train.shape
     # no evaluation row repeats a training row, nor any single coordinate
@@ -273,6 +275,28 @@ def test_mc_risk_chunked_stream_matches_one_block_draw(dist):
             feats, labels = _one_block_draw(spec, m, 5)
             want = RiskReport.monte_carlo(*empirical_risks(theta, feats, labels, model), m)
             assert monte_carlo_risk(theta, spec, model, m=m, seed=5) == want, (d, m)
+
+
+@pytest.mark.parametrize("dist", NOISE_DISTS)
+def test_stream_chunks_rebuild_one_block_draw_features(dist):
+    for d in (1, 7, 1000):
+        chunk = max(1, _CHUNK_FLOATS // d)
+        spec = MixtureSpec(d=d, mu=np.linspace(-1.0, 2.0, d), noise_dist=dist, eta=0.3, seed=6)
+        for m in sorted({1, chunk, chunk + 1, 3 * chunk + 5}):
+            feats = np.full((m, d), np.nan)
+            seen = []
+
+            def consume(rows, clean, xi):
+                seen.append(rows)
+                feats[rows] = clean[:, None] * spec.mu + xi
+
+            labels = _stream_eval_rows(spec, m, 8, consume)
+            want_feats, want_labels = _one_block_draw(spec, m, 8)
+            assert [(r.start, r.stop) for r in seen] == [
+                (lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
+            ]
+            np.testing.assert_array_equal(feats, want_feats)
+            np.testing.assert_array_equal(labels, want_labels)
 
 
 def test_nn_evaluation_block_is_the_one_block_draw(monkeypatch):
