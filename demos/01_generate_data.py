@@ -20,6 +20,7 @@ from advlab import (
     load_dataset_csv,
     mu_from_scaling,
     save_dataset_csv,
+    standard_margin,
 )
 
 spec = MixtureSpec(d=500, mu=mu_from_scaling(500, 0.35), eta=0.1, seed=0)
@@ -33,7 +34,8 @@ sq = np.sum(ds.features**2, axis=1)
 print(f"||x||^2 / d over samples: min={sq.min()/ds.d:.3f} max={sq.max()/ds.d:.3f}")
 print(f"geometry constant c0 = {geometry_constant(ds):.3f}")
 
-rep = check_assumptions(ds, PerturbationModel(2.0, 0.1))
+model = PerturbationModel(2.0, 0.1)
+rep = check_assumptions(ds, model, standard_margin(ds, model.q).value)
 print(f"separable={rep.separable} dimension_ok={rep.dimension_ok}")
 print(
     f"  (dimension check wants d >= {rep.dimension_threshold:.0f} for n={ds.n};"

@@ -165,7 +165,7 @@ def _cmd_margins(args) -> int:
     ds = generate(_spec(args), args.n)
     std = standard_margin(ds, model.q, max_iter=args.max_iter)
     adv = adversarial_margin(ds, model, max_iter=args.max_iter)
-    rep = check_assumptions(ds, model)
+    rep = check_assumptions(ds, model, std.value)
     print(
         f"margin_std={std.value:.8g} margin_adv={adv.value:.8g}"
         f" margin_gap={max(std.certificate_gap, adv.certificate_gap):.3g}"

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .margins import standard_margin
 from .norms import PerturbationModel, lp_norm
 
 __all__ = [
@@ -212,8 +211,14 @@ class AssumptionReport:
     separable: bool
 
 
-def check_assumptions(ds: Dataset, model: PerturbationModel) -> AssumptionReport:
-    """Measure how comfortably a dataset sits inside the analyzed regime."""
+def check_assumptions(
+    ds: Dataset, model: PerturbationModel, margin_q: float
+) -> AssumptionReport:
+    """Measure how comfortably a dataset sits inside the analyzed regime.
+
+    margin_q is the sample's standard margin at model.q, as the caller
+    solved it (``margins.standard_margin(ds, model.q).value``).
+    """
     if ds.spec is None:
         raise ValueError("dataset carries no generating spec; assumptions need mu")
     n, d = ds.n, ds.d
@@ -221,7 +226,6 @@ def check_assumptions(ds: Dataset, model: PerturbationModel) -> AssumptionReport
     mu_sq = float(mu @ mu)
     dim_thresh = max(n * mu_sq, n * n * math.log(n / _CONFIDENCE))
     mean_thresh = max(math.log(n / _CONFIDENCE), model.epsilon * lp_norm(mu, model.q))
-    gamma_bar = standard_margin(ds, model.q).value
     return AssumptionReport(
         n=n,
         d=d,
@@ -232,9 +236,9 @@ def check_assumptions(ds: Dataset, model: PerturbationModel) -> AssumptionReport
         mean_norm_sq=mu_sq,
         mean_norm_threshold=mean_thresh,
         mean_norm_ok=mu_sq >= mean_thresh,
-        margin_q=gamma_bar,
-        radius_ok=model.epsilon <= gamma_bar,
-        separable=gamma_bar > 0.0,
+        margin_q=margin_q,
+        radius_ok=model.epsilon <= margin_q,
+        separable=margin_q > 0.0,
     )
 
 

@@ -5,9 +5,13 @@ directions, and the best perturbation-adjusted min-margin
 
     max_{||theta||_2 = 1}  min_k  y_k theta.x_k - epsilon*||theta||_q
 
-over unit Euclidean directions.  Every problem on the Euclidean sphere (each
-adversarial margin, and the standard margin at q = 2) is solved through its
-n-dimensional dual over the probability simplex, the hard-margin SVM dual:
+over unit Euclidean directions.  On that sphere epsilon*||theta||_2 is the
+constant epsilon, so the adversarial margin at q = 2 (and at epsilon = 0,
+at any q) is the q = 2 standard margin minus epsilon, with its direction and
+certificate gap (so the gap is closed to the standard value's tolerance,
+below).  That standard margin and every other adversarial margin are
+solved through their n-dimensional dual over the probability simplex, the
+hard-margin SVM dual:
 
     min_{lam in simplex}  dist_2(Z^T lam, epsilon * B_p),
 
@@ -512,12 +516,21 @@ def adversarial_margin(
 
     The objective charges every direction the worst-case margin loss
     epsilon*||theta||_q, so the value is non-increasing in epsilon and never
-    exceeds the q = 2 standard margin.
+    exceeds the q = 2 standard margin.  At q = 2 that charge is epsilon on
+    the whole sphere, so the result is the q = 2 standard solve's, shifted
+    by epsilon (at epsilon = 0, at any q, it is that solve's result itself).
     """
-    return _solve(
-        ds.signed_features,
-        sphere_q=2.0,
-        eps=float(model.epsilon),
-        pen_q=float(model.q),
-        max_iter=max_iter,
-    )
+    eps, q = float(model.epsilon), float(model.q)
+    if q == 2.0 or eps == 0.0:
+        std = standard_margin(ds, 2.0, max_iter)
+        if eps == 0.0:
+            return std
+        value, _ = _objective(ds.signed_features, std.direction, eps, 2.0)
+        upper = std.value + std.certificate_gap - eps
+        return MarginResult(
+            direction=std.direction,
+            value=value,
+            iterations=std.iterations,
+            certificate_gap=max(0.0, upper - value),
+        )
+    return _solve(ds.signed_features, sphere_q=2.0, eps=eps, pen_q=q, max_iter=max_iter)

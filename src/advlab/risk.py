@@ -180,7 +180,7 @@ def _risks_of_margins(
     margins: np.ndarray, theta: np.ndarray, model: PerturbationModel
 ) -> tuple[float, float]:
     shift = model.epsilon * lp_norm(theta, model.q)
-    return float(np.mean(margins < 0.0)), float(np.mean(margins - shift < 0.0))
+    return float(np.mean(margins < 0.0)), float(np.mean(margins < shift))
 
 
 def monte_carlo_risk(

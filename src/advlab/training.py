@@ -20,15 +20,15 @@ and train errors are computed from these once, after the loop.  The margin
 array is bounded by the configuration: 0.8 MB at n = 50, T = 2000.
 
 Row space at q = 2: there g(theta) = theta/||theta||_2, so every step adds a
-combination of the rows z_k and rescales theta, and theta stays in the span
-of the rows of B, the z_k (plus theta0 as one more row when a start is
-given).  When eps > 0 and B has fewer rows k than d, the trainer writes
-theta = B^T c and descends on c in R^k with the k x k Gram matrix B B^T:
-margins, ||theta||_2, mu.theta and the step all cost O(k^2) rather than
-O(n d), and theta is formed only at snapshots.  The loop, the record and the
-divergence checks are the same on both paths; only the kernel differs.  The
-values agree with descent on theta to rounding (about 1e-15 relative).
-Every other case (eps = 0, q != 2, k >= d) descends on theta itself.
+combination of the rows z_k and rescales theta, and from the zero start
+theta stays in the span of the z_k.  When eps > 0 and n < d, the trainer
+writes theta = Z^T c and descends on c in R^n with the n x n Gram matrix
+Z Z^T: margins, ||theta||_2, mu.theta and the step all cost O(n^2) rather
+than O(n d), and theta is formed only at snapshots.  The loop, the record
+and the divergence checks are the same on both paths; only the kernel
+differs.  The values agree with descent on theta to rounding (about 1e-15
+relative).  Every other case (a supplied start, eps = 0, q != 2, n >= d)
+descends on theta itself.
 
 Step modes: "constant" uses a fixed step; "scheduled" uses a conservative
 schedule derived from smoothness bounds, with a large first step 1/(G*d*n)
@@ -189,55 +189,26 @@ def _worst_case(
 
 
 def _row_space_worst_case(
-    c: np.ndarray, gram: np.ndarray, n: int, eps: float, to_theta, with_grad: bool = True
+    c: np.ndarray, gram: np.ndarray, eps: float, to_theta, with_grad: bool = True
 ) -> tuple[np.ndarray, float, float, Optional[np.ndarray]]:
-    """``_worst_case`` at q = 2, eps > 0 for theta = B^T c, from gram = B B^T.
+    """``_worst_case`` at q = 2, eps > 0 for theta = Z^T c, from gram = Z Z^T.
 
-    The first n rows of B are the z_k, so the margins are (gram @ c)[:n] and
-    ||theta||_2^2 = c . gram @ c.  Where that square leaves the range in which
-    its root is accurate (rounding below zero included), the norm is taken of
-    theta itself.  The gradient is returned in coefficients: grad_theta =
-    B^T grad_c with grad_c = -w (padded with zeros) + eps*L*c/||theta||_2.
+    The margins are gram @ c and ||theta||_2^2 = c . gram @ c.  Where that
+    square leaves the range in which its root is accurate (rounding below
+    zero included), the norm is taken of theta itself.  The gradient is
+    returned in coefficients: grad_theta = Z^T grad_c with
+    grad_c = -w + eps*L*c/||theta||_2.
     """
-    v = gram @ c
-    margins = v[:n]
-    sq = float(c @ v)
+    margins = gram @ c
+    sq = float(c @ margins)
     pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(to_theta(c), 2.0)
     w = np.exp(eps * pen_norm - margins)
     loss = float(w.sum())
     grad = None
     if with_grad:
         grad = (eps * loss / pen_norm) * c if pen_norm > 0.0 else np.zeros_like(c)
-        grad[:n] -= w
+        grad -= w
     return margins, loss, pen_norm, grad
-
-
-def _row_space(ds, theta0: Optional[np.ndarray], mu: Optional[np.ndarray]):
-    """Start c0, Gram matrix B B^T, mu in coefficients (B mu) and c -> B^T c.
-
-    B is the z_k, with theta0 appended as row n when given (c0 = e_n).
-    """
-    z = ds.signed_features
-    n = z.shape[0]
-    if theta0 is None:
-        gram, c0 = ds.gram, np.zeros(n)
-    else:
-        gram = np.empty((n + 1, n + 1))
-        gram[:n, :n] = ds.gram
-        gram[:n, n] = gram[n, :n] = z @ theta0
-        with np.errstate(over="ignore"):
-            gram[n, n] = theta0 @ theta0
-        c0 = np.zeros(n + 1)
-        c0[n] = 1.0
-
-    def to_theta(c: np.ndarray) -> np.ndarray:
-        theta = c[:n] @ z
-        return theta if theta0 is None else theta + c[n] * theta0
-
-    mu_c = None
-    if mu is not None:
-        mu_c = z @ mu if theta0 is None else np.append(z @ mu, theta0 @ mu)
-    return c0, gram, mu_c, to_theta
 
 
 def _evaluate(theta: np.ndarray, ds, model: PerturbationModel, with_grad: bool = True):
@@ -326,14 +297,17 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             raise ValueError(f"theta0 must have shape ({d},), got {theta.shape}")
 
     # x is the iterate the loop descends on: theta itself, or its row-space
-    # coefficients c with theta = B^T c (module docstring); mu_x is mu in the
+    # coefficients c with theta = Z^T c (module docstring); mu_x is mu in the
     # same coordinates, so that mu . theta = mu_x . x
-    k = n if theta0 is None else n + 1
-    if q == 2.0 and eps > 0.0 and k < d:
-        x, gram, mu_x, to_theta = _row_space(ds, None if theta0 is None else theta, mu)
+    if theta0 is None and q == 2.0 and eps > 0.0 and n < d:
+        x, gram = np.zeros(n), ds.gram
+        mu_x = None if mu is None else z @ mu
+
+        def to_theta(c: np.ndarray) -> np.ndarray:
+            return c @ z
 
         def evaluate(c: np.ndarray, with_grad: bool):
-            return _row_space_worst_case(c, gram, n, eps, to_theta, with_grad)
+            return _row_space_worst_case(c, gram, eps, to_theta, with_grad)
     else:
         x, mu_x, to_theta = theta, mu, np.copy
 

@@ -193,6 +193,21 @@ def test_margins_reports_separable_case(capsys):
     assert "separable=True" in msg
 
 
+def test_margins_separable_follows_the_printed_margin_at_the_cap(capsys):
+    # five ascent steps leave the p = inf standard margin negative on a
+    # separable sample; the flag reads that one solve, not a second one at
+    # the default cap
+    code = cli_main(
+        ["margins", "--d", "200", "--r", "0.2", "--p", "inf", "--eps", "0.01",
+         "--seed", "1401", "--max-iter", "5"]
+    )
+    assert code == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    margin_std = float(fields["margin_std"])
+    assert margin_std < 0.0
+    assert fields["separable"] == str(margin_std > 0.0)
+
+
 def test_risk_analytic_and_monte_carlo(tmp_path, capsys):
     theta_path = tmp_path / "theta.txt"
     np.savetxt(theta_path, np.ones(30))

@@ -20,6 +20,7 @@ from advlab.data import (
     mu_from_scaling,
     save_dataset_csv,
 )
+from advlab.margins import standard_margin
 from advlab.norms import PerturbationModel
 
 
@@ -230,11 +231,15 @@ def test_csv_round_trip(tmp_path):
         load_dataset_csv(path)
 
 
+def _report(ds, model):
+    return check_assumptions(ds, model, standard_margin(ds, model.q).value)
+
+
 def test_check_assumptions_arithmetic_and_separability():
     model = PerturbationModel(p=2.0, epsilon=0.05)
 
     ds = generate(_spec(d=400, r=0.3, eta=0.1, seed=1), 20)
-    rep = check_assumptions(ds, model)
+    rep = _report(ds, model)
     assert isinstance(rep, AssumptionReport)
     thresh = max(20 * 400 ** 0.6, 400 * math.log(20 / 0.1))
     assert rep.dimension_threshold == pytest.approx(thresh, rel=1e-12)
@@ -247,12 +252,17 @@ def test_check_assumptions_arithmetic_and_separability():
 
     # low dimension, many samples: overlapping classes, not separable
     crowded = generate(_spec(d=2, r=0.3, eta=0.2, seed=5), 150)
-    rep2 = check_assumptions(crowded, model)
+    rep2 = _report(crowded, model)
     assert not _lp_separable(crowded.signed_features)
     assert not rep2.separable
     assert rep2.margin_q <= 0.0
 
     # epsilon = 0 keeps the radius condition vacuously true on separable data
-    rep3 = check_assumptions(ds, PerturbationModel(p=2.0, epsilon=0.0))
+    rep3 = _report(ds, PerturbationModel(p=2.0, epsilon=0.0))
     if rep3.separable:
         assert rep3.radius_ok
+
+    # the flags read the margin the caller passes
+    rep4 = check_assumptions(ds, model, -0.5)
+    assert rep4.margin_q == -0.5
+    assert not rep4.separable and not rep4.radius_ok

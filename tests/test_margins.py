@@ -203,27 +203,65 @@ def test_certified_margins_monotone_in_epsilon(d):
         assert float(np.diff(vals).max()) <= 1e-9, (p, vals)
 
 
-def test_nonseparable_instance_falls_back_to_primal_ascent(monkeypatch):
+def test_nonseparable_instance_falls_back_to_primal_ascent():
     # rows +-c_i e_i surround the origin: the best unit theta balances
     # c_i |theta_i|, scoring -1/sqrt(sum 1/c_i^2); the dual value is 0
-    from advlab import margins
-
     c = np.array([1.0, 2.0, 3.0])
     ds = _dataset(np.vstack([np.diag(c), -np.diag(c)]), np.ones(6))
     want = -1.0 / math.sqrt(float(np.sum(1.0 / c**2)))
-    calls = []
-    subgradient = margins.norm_subgradient
-
-    def counting_subgradient(theta, q):
-        calls.append(q)
-        return subgradient(theta, q)
-
-    monkeypatch.setattr(margins, "norm_subgradient", counting_subgradient)
-    assert standard_margin(ds, q=2.0).value == pytest.approx(want, abs=1e-6)
+    std = standard_margin(ds, q=2.0)
+    assert std.value == pytest.approx(want, abs=1e-6)
+    # the dual stops after one step with nothing to certify; the sphere
+    # ascent's iterations follow it
+    assert std.iterations > 1
     res = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=0.1))
-    assert calls  # only the primal ascent takes subgradients
+    assert res.iterations == std.iterations
     assert res.value == pytest.approx(want - 0.1, abs=1e-6)
-    assert res.certificate_gap >= -res.value
+    # the dual bound of the standard solve is about 0, so the shifted bound
+    # is about -epsilon: loose by the whole standard margin
+    assert res.certificate_gap >= -res.value - 0.1
+
+
+def test_adversarial_margin_beyond_the_standard_margin_at_p2_is_the_shift(monkeypatch):
+    # epsilon above the standard margin leaves a negative optimum, which an
+    # epsilon-ball dual cannot certify; the shifted standard solve does
+    from advlab import margins
+
+    spec = MixtureSpec(d=200, mu=mu_from_scaling(200, 0.2), eta=0.1, seed=1401)
+    ds = generate(spec, 50)
+    std = standard_margin(ds, q=2.0)
+    assert 2.2 < std.value < 2.3
+    assert std.certificate_gap <= margins._tolerance(std.value)
+
+    def unused(*args):
+        raise AssertionError("the epsilon-ball dual or the epsilon > 0 ascent ran")
+
+    monkeypatch.setattr(margins, "project_onto_ball", unused)
+    monkeypatch.setattr(margins, "norm_subgradient", unused)
+    for eps in (2.3, 3.0):
+        res = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=eps))
+        assert res.value == pytest.approx(std.value - eps, abs=1e-14)
+        assert res.value < 0.0
+        assert res.iterations == std.iterations
+        np.testing.assert_array_equal(res.direction, std.direction)
+        assert res.certificate_gap <= margins._tolerance(std.value)
+        assert res.certificate_gap <= 1e-9
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+@pytest.mark.parametrize("d", [2, 7, 60])
+def test_zero_epsilon_is_the_q2_standard_margin(p, d):
+    # nothing is charged at epsilon = 0, whatever the norm: the result is the
+    # q = 2 standard margin's, bit for bit
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.2, seed=d)
+    for n in (5, 40):
+        ds = generate(spec, n)
+        std = standard_margin(ds, q=2.0)
+        res = adversarial_margin(ds, PerturbationModel(p=p, epsilon=0.0))
+        assert res.direction.tobytes() == std.direction.tobytes()
+        assert (res.value, res.iterations, res.certificate_gap) == (
+            std.value, std.iterations, std.certificate_gap
+        )
 
 
 # ------------------------------------------------- q = 1 by the covering LP

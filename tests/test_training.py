@@ -302,7 +302,7 @@ def test_record_snapshots_and_diagnostics_are_consistent():
     "p, eps, start",
     [
         (2.0, 0.15, "zero"),  # row space
-        (2.0, 0.15, "theta0"),  # row space with theta0 as one more row
+        (2.0, 0.15, "theta0"),  # a supplied start: theta itself
         (np.inf, 0.15, "zero"),  # q = 1
         (1.0, 0.15, "theta0"),  # q = inf
         (2.0, 0.0, "zero"),  # plain descent
@@ -534,7 +534,8 @@ def _normwise(a, b):
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 @pytest.mark.parametrize("d", [200, 1000])
 def test_row_space_path_matches_theta_descent(d, eps, step_mode, start):
-    # n = 20 rows (21 with theta0) < d: train() descends on row coefficients
+    # n = 20 rows < d: from the zero start train() descends on row
+    # coefficients; from theta0 it descends on theta, against the same reference
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=d)
     ds = generate(spec, 20)
     theta0 = None
@@ -599,13 +600,14 @@ def test_row_space_path_diverges_where_theta_descent_does():
 
 
 def test_theta_path_is_bitwise_where_the_row_space_does_not_apply():
-    # q = 2 with at least as many basis rows as dimensions, and q in {1, inf}
+    # q = 2 with n >= d or a supplied start, and q in {1, inf}
     rng = np.random.default_rng(12)
     cases = [
         (_random_dataset(rng, 8, 6), 2.0, None),
         (_random_dataset(rng, 5, 6), 2.0, rng.normal(size=6)),
         (_random_dataset(rng, 5, 40), np.inf, None),
         (_random_dataset(rng, 5, 40), 1.0, rng.normal(size=40) / math.sqrt(40)),
+        (_random_dataset(rng, 5, 40), 2.0, rng.normal(size=40) / math.sqrt(40)),
     ]
     for ds, p, theta0 in cases:
         model = PerturbationModel(p, 0.1)
@@ -620,18 +622,18 @@ def test_theta_path_is_bitwise_where_the_row_space_does_not_apply():
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
 def test_row_space_norm_is_overflow_safe(scale):
     # c.Gc squares |theta|, so it leaves the floating range near 1e154 and
-    # 1e-154; the recorded norm must follow lp_norm(theta, 2) there
+    # 1e-154; the recorded norm must follow lp_norm(theta, 2) there.  From
+    # the zero start every weight is 1, so a first step of size scale lands
+    # on theta_1 = scale * sum_k z_k
     spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.0, seed=4)
     ds = generate(spec, 8)
-    theta0 = np.full(20, scale)
     model = PerturbationModel(2.0, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            rec = train(ds, TrainConfig(model=model, T=1), theta0=theta0)
-        except TrainingDiverged as exc:
-            rec = exc.record
-    assert rec.theta_l2[0] == pytest.approx(scale * math.sqrt(20), rel=1e-12, abs=0.0)
-    assert rec.log_losses[0] == pytest.approx(
-        adversarial_log_loss(theta0, ds, model), rel=1e-12
+        rec = train(ds, TrainConfig(model=model, alpha=scale, T=1))
+    want = scale * lp_norm(ds.signed_features.sum(axis=0), 2.0)
+    assert rec.theta_l2[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rec.theta_l2[1] == lp_norm(rec.thetas[1], 2.0)
+    assert rec.log_losses[1] == pytest.approx(
+        adversarial_log_loss(rec.thetas[1], ds, model), rel=1e-12
     )
