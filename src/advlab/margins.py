@@ -518,19 +518,19 @@ def adversarial_margin(
     epsilon*||theta||_q, so the value is non-increasing in epsilon and never
     exceeds the q = 2 standard margin.  At q = 2 that charge is epsilon on
     the whole sphere, so the result is the q = 2 standard solve's, shifted
-    by epsilon (at epsilon = 0, at any q, it is that solve's result itself).
+    by epsilon.  At epsilon = 0 every q gives that standard solve itself.
     """
     eps, q = float(model.epsilon), float(model.q)
-    if q == 2.0 or eps == 0.0:
-        std = standard_margin(ds, 2.0, max_iter)
-        if eps == 0.0:
-            return std
-        value, _ = _objective(ds.signed_features, std.direction, eps, 2.0)
-        upper = std.value + std.certificate_gap - eps
-        return MarginResult(
-            direction=std.direction,
-            value=value,
-            iterations=std.iterations,
-            certificate_gap=max(0.0, upper - value),
-        )
-    return _solve(ds.signed_features, sphere_q=2.0, eps=eps, pen_q=q, max_iter=max_iter)
+    if q != 2.0:
+        return _solve(ds.signed_features, sphere_q=2.0, eps=eps, pen_q=q, max_iter=max_iter)
+    std = standard_margin(ds, 2.0, max_iter)
+    if eps == 0.0:
+        return std
+    value, _ = _objective(ds.signed_features, std.direction, eps, 2.0)
+    upper = std.value + std.certificate_gap - eps
+    return MarginResult(
+        direction=std.direction,
+        value=value,
+        iterations=std.iterations,
+        certificate_gap=max(0.0, upper - value),
+    )
