@@ -17,6 +17,13 @@ gradient of a training epoch reads its pre-activations and margins at the
 returned points, training fills its log from each epoch's kept margins
 after the loop, and evaluation reads its risks from the margins.
 
+l2 training goes one step further when h + n < d.  Each attack step and
+rescale is a combination of W1's rows, and each W1 gradient dU^T x_adv one
+of the attacked inputs, so W1 stays in the span of the rows of
+B = [W1_0; X]: W1 = R B with an h x (h + n) coefficient matrix R.  An epoch
+then reads only R and G = B B^T, formed once, and costs O(h (h + n)^2)
+instead of O(n h d); W1 is formed once, after the loop.
+
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
 """
@@ -131,7 +138,11 @@ def _backward(
     net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, u: np.ndarray, margins: np.ndarray
 ) -> tuple[float, TwoLayerNet]:
     """``loss_and_gradients`` from the rows' pre-activations u and margins
-    (weights exp(-margins)); the caller sets the floating-point error state."""
+    (weights exp(-margins)); the caller sets the floating-point error state.
+
+    The W1 gradient is dU^T feats, so rows given as coordinates on a basis
+    (x = feats B) give the W1 gradient in the same coordinates.
+    """
     act = np.maximum(u, 0.0)
     wexp = np.exp(-margins)
     coef = -labels * wexp
@@ -205,30 +216,54 @@ def _pgd_l2_row_space(
     steps: int,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The l2 attack, run on row coefficients.
+    """The l2 attack, run on row coefficients (``_l2_coefficient_steps``).
+
+    The best coefficients are turned into inputs once, projected onto the
+    ball in input space and rescored as ``forward`` scores them, and a row
+    whose rescored margin is not below its clean one returns the clean
+    point.  The projection matters only where A W1 nearly cancels (W1 rows
+    nearly parallel, with w2 weights of opposite sign): there a K a^T loses
+    its digits to rounding, and the coefficient norms no longer bound the
+    step or the iterate.
+    """
+    W1 = net.W1
+    u0 = feats @ W1.T + net.b1
+    clean_margin, best_C = _l2_coefficient_steps(W1 @ W1.T, u0, labels, net, eps, steps, step)
+    best = feats + project_onto_ball(best_C @ W1, 2.0, eps)
+    u, scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
+    margin = labels * scores
+    stayed = ~(margin < clean_margin)
+    best[stayed] = feats[stayed]
+    u[stayed] = u0[stayed]
+    return best, clean_margin, np.where(stayed, clean_margin, margin), u
+
+
+def _l2_coefficient_steps(
+    K: np.ndarray,
+    u0: np.ndarray,
+    labels: np.ndarray,
+    net: TwoLayerNet,
+    eps: float,
+    steps: int,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clean margins and the best-seen n x h coefficients of the l2 attack.
 
     The input gradient of -y*score is A W1 with A = -y * (mask * w2), so from
     delta = 0 every step and every l2 rescale keeps delta = C W1 for an n x h
-    matrix C.  With K = W1 W1^T the pre-activations are u0 + C K, the ascent
-    step is A / sqrt(a K a^T) row by row and the projection rescales C by
-    eps / max(sqrt(c K c^T), eps); C K is carried along with C, as the right
-    half of one n x 2h array [C | C K] that a step updates with [A | A K], so
-    a step costs O(n h^2) instead of O(n h d).  The best coefficients are
-    turned into inputs once, projected onto the ball in input space and
-    rescored as ``forward`` scores them, and a row whose rescored margin is
-    not below its clean one returns the clean point.  The projection matters
-    only where A W1 nearly cancels (W1 rows nearly parallel, with w2 weights
-    of opposite sign): there a K a^T loses its digits to rounding, and the
-    coefficient norms no longer bound the step or the iterate.
+    matrix C.  With K = W1 W1^T and the clean pre-activations u0 the
+    pre-activations are u0 + C K, the ascent step is A / sqrt(a K a^T) row by
+    row and the projection rescales C by eps / max(sqrt(c K c^T), eps); C K
+    is carried along with C, as the right half of one n x 2h array [C | C K]
+    that a step updates with [A | A K], so a step costs O(n h^2) instead of
+    O(n h d).  Only b1's effect, through u0, and w2 and b2 are read from net.
     """
-    W1, w2 = net.W1, net.w2
-    h = net.h
-    K = W1 @ W1.T
-    u0 = feats @ W1.T + net.b1
+    w2 = net.w2
+    h = w2.size
     clean_margin = labels * (np.maximum(u0, 0.0) @ w2 + net.b2)
     neg_yw2 = (-labels)[:, None] * w2
     # A @ K is written into its half: a product with [I | K] rounds otherwise
-    A_AK = np.empty((feats.shape[0], 2 * h))
+    A_AK = np.empty((u0.shape[0], 2 * h))
     A, AK = A_AK[:, :h], A_AK[:, h:]
     C_CK = np.zeros_like(A_AK)
     C, CK = C_CK[:, :h], C_CK[:, h:]
@@ -251,13 +286,57 @@ def _pgd_l2_row_space(
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
         np.copyto(best_C, C, where=better[:, None])
-    best = feats + project_onto_ball(best_C @ W1, 2.0, eps)
-    u, scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
-    margin = labels * scores
+    return clean_margin, best_C
+
+
+# d G d^T below this fraction of |d| |G| |d|^T has lost its digits to cancellation
+_CANCELLED = 1e-3
+
+
+def _pgd_l2_coordinates(
+    R: np.ndarray,
+    G: np.ndarray,
+    abs_G: np.ndarray,
+    net: TwoLayerNet,
+    labels: np.ndarray,
+    cfg: PgdConfig,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The l2 attack of a net whose first layer is W1 = R B, in coordinates on
+    the rows of B = [W1_0; X], with G = B B^T; net supplies b1, w2 and b2.
+
+    Returns the attacked rows' coordinates E + D (x_adv = (E + D) B with
+    E = [0 | I]), the clean and attacked margins, the attacked
+    pre-activations and K = W1 W1^T.  Each array is (h + n)-sized: K is
+    R G R^T, the clean pre-activations are the X block of G R^T plus b1, the
+    coefficient loop runs as in ``_pgd_l2_row_space``, delta has coordinates
+    D = s best_C R with the l2 rescale s read from D G D^T, and the attacked
+    pre-activations are u0 + D G R^T.  Returns None where some row's D G D^T
+    has lost its digits (W1's rows nearly cancel there): that delta can be
+    projected only in input space, and coordinates that large would carry
+    their rounding into every later W1.
+    """
+    h, n = R.shape[0], labels.size
+    eps = cfg.model.epsilon
+    GRt = G @ R.T
+    K = R @ GRt
+    u0 = GRt[h:] + net.b1
+    clean_margin, best_C = _l2_coefficient_steps(
+        K, u0, labels, net, eps, cfg.steps, cfg.effective_step()
+    )
+    D = best_C @ R
+    sq = np.einsum("ij,ij->i", D, D @ G)
+    abs_D = np.abs(D)
+    # also false on nan, which the input-space epoch reports as divergence
+    if not np.all(sq >= _CANCELLED * np.einsum("ij,ij->i", abs_D, abs_D @ abs_G)):
+        return None
+    D *= (eps / np.maximum(np.sqrt(sq), eps))[:, None]
+    u = u0 + D @ GRt
+    margin = labels * (np.maximum(u, 0.0) @ net.w2 + net.b2)
     stayed = ~(margin < clean_margin)
-    best[stayed] = feats[stayed]
+    D[stayed] = 0.0
     u[stayed] = u0[stayed]
-    return best, clean_margin, np.where(stayed, clean_margin, margin), u
+    D[np.arange(n), np.arange(h, h + n)] += 1.0
+    return D, clean_margin, np.where(stayed, clean_margin, margin), u, K
 
 
 def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.ndarray:
@@ -296,6 +375,13 @@ def adv_train_nn(
     Epoch t of the log holds the loss and errors of the parameters before
     the t-th update, evaluated on that epoch's attacked batch; entry 0 is
     the initial network.  Raises on non-finite loss like the linear trainer.
+
+    At p = 2 with eps > 0, steps > 0 and h + n < d, the epochs run in
+    coordinates on the rows of [W1_0; X] (``_pgd_l2_coordinates``) and agree
+    with the input-space epoch to rounding, about 1e-15 relative.  Should an
+    attack's delta lose its digits in those coordinates, that epoch and the
+    rest run in input space from W1 = R B.  Every other case runs the
+    input-space epoch: ``_pgd_attack_batch`` on x, the gradient dU^T x_adv.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -305,25 +391,46 @@ def adv_train_nn(
     # each epoch's clean and attacked margins; the log is filled from them
     clean, attacked = np.empty((2, epochs + 1, ds.n))
     p_l2 = np.empty(epochs + 1)
+    model = pgd.model
+    # W1 = R B while R is set; net.W1 holds W1_0 until R is dropped
+    R = None
+    if model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0 and net.h + ds.n < ds.d:
+        B = np.vstack([net.W1, feats])
+        G = B @ B.T
+        abs_G = np.abs(G)
+        R = np.eye(net.h, net.h + ds.n)
     # overflowed weights propagate as inf/nan and are caught by the checks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
-            x_adv, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
-            p_l2[t] = net.param_l2()
+            out = None if R is None else _pgd_l2_coordinates(R, G, abs_G, net, labels, pgd)
+            if out is not None:
+                rows, clean[t], attacked[t], u, K = out
+                p_l2[t] = math.sqrt(
+                    float(np.trace(K) + np.sum(net.b1**2) + np.sum(net.w2**2)) + net.b2**2
+                )
+            else:
+                if R is not None:
+                    net.W1, R = R @ B, None
+                rows, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
+                p_l2[t] = net.param_l2()
             # the log-loss is finite iff the smallest margin is (``_log_losses``)
             if not math.isfinite(attacked[t].min()):
                 raise RuntimeError(f"network training diverged at epoch {t}")
             if t == epochs:
                 break
-            _, grads = _backward(net, x_adv, labels, u, attacked[t])
+            _, grads = _backward(net, rows, labels, u, attacked[t])
             if not (all(np.isfinite(g).all() for g in (grads.W1, grads.b1, grads.w2))
                     and math.isfinite(grads.b2)):
                 raise RuntimeError(f"network training diverged at epoch {t}")
-            net.W1 -= lr * grads.W1
+            # in coordinates, the W1 gradient dU^T x_adv is dU^T (E + D)
+            W1 = net.W1 if R is None else R
+            W1 -= lr * grads.W1
             net.b1 -= lr * grads.b1
             net.w2 -= lr * grads.w2
             net.b2 -= lr * grads.b2
         losses = np.exp(-attacked).sum(axis=1)
+    if R is not None:
+        net.W1 = R @ B
     return net, NetTrainLog(
         h=net.h,
         losses=losses,

@@ -538,6 +538,136 @@ def test_adv_train_nn_is_bitwise_the_attack_then_loss_and_gradients_loop(d, h, p
     assert log.losses[-1] < log.losses[0]
 
 
+def _assert_close(got, want, rtol=1e-12):
+    want = np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, d, h", [(1, 40, 4), (24, 60, 6), (50, 300, 32)])
+def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatch, n, d, h):
+    # h + n < d at p = 2: W1 = R [W1_0; X] trains on R, and agrees with the
+    # attack-then-gradient loop on W1 to rounding
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=n)
+    ds = generate(spec, n)
+    net0 = init_network(d=d, h=h, seed=n + 1)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.15), steps=5)
+    ref_net, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=40, lr=1e-3)
+    calls = _spy_on_attack(monkeypatch)
+    net, log = adv_train_nn(ds, net0, cfg, epochs=40, lr=1e-3)
+    assert calls == []
+    for block in ("W1", "b1", "w2"):
+        _assert_close(getattr(net, block), getattr(ref_net, block))
+    assert net.b2 == pytest.approx(ref_net.b2, rel=1e-12, abs=0.0)
+    losses, log_losses, param_l2, train_errors, adv_train_errors = ref_log
+    np.testing.assert_allclose(log.losses, losses, rtol=1e-12, atol=0.0)
+    # log-losses pass through zero, where only an absolute error means anything
+    np.testing.assert_allclose(log.log_losses, log_losses, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(log.param_l2, param_l2, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(log.train_errors, train_errors)
+    np.testing.assert_array_equal(log.adv_train_errors, adv_train_errors)
+    assert log.losses[-1] < log.losses[0]
+
+
+@pytest.mark.parametrize(
+    "h, p, eps, steps",
+    [(6, 2.0, 0.1, 4), (30, 2.0, 0.1, 4), (6, np.inf, 0.1, 4), (6, 2.0, 0.0, 4), (6, 2.0, 0.1, 0)],
+    ids=["l2-h+n<d", "l2-h+n=d", "linf", "eps0", "steps0"],
+)
+def test_adv_train_nn_attacks_in_input_space_unless_l2_with_h_plus_n_below_d(
+    monkeypatch, h, p, eps, steps
+):
+    d, n = 40, 10
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=2)
+    ds = generate(spec, n)
+    cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
+    calls = _spy_on_attack(monkeypatch)
+    adv_train_nn(ds, init_network(d=d, h=h, seed=5), cfg, epochs=6, lr=1e-3)
+    coordinates = p == 2.0 and eps > 0.0 and steps > 0 and h + n < d
+    assert len(calls) == (0 if coordinates else 7)
+
+
+def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(monkeypatch):
+    """Two nearly parallel W1 rows with opposite w2 weights and a repeated
+    sample (G singular): where D G D^T loses its digits, training hands over
+    to the input-space epoch, so every epoch's perturbation lies in the ball
+    and the errors are those of the input-space loop."""
+    n, d, h, eps = 20, 60, 6, 0.2
+    cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=8)
+    coordinates, attack = network._pgd_l2_coordinates, network._pgd_attack_batch
+    paths = set()
+    for other_w2, other_b1 in ((0.0, -50.0), (1e-6, 0.0)):
+        for offset in (1e-4, 1e-8, 1e-12):
+            spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
+            ds = generate(spec, n)
+            ds.features[-1], ds.labels[-1] = ds.features[0], ds.labels[0]
+            net0 = init_network(d=d, h=h, seed=0)
+            net0.W1[1] = net0.W1[0] * (1 + offset)
+            net0.w2[:2] = 1.0, -1.0
+            net0.w2[2:] *= other_w2
+            net0.b1[2:] = other_b1
+            basis = np.vstack([net0.W1, ds.features])
+            norms = []
+
+            def in_coordinates(*args):
+                out = coordinates(*args)
+                if out is not None:
+                    D = out[0].copy()
+                    D[np.arange(n), np.arange(h, h + n)] -= 1.0
+                    norms.append(np.linalg.norm(D @ basis, axis=1))
+                    paths.add("coordinates")
+                return out
+
+            def in_input_space(net, feats, labels, cfg):
+                out = attack(net, feats, labels, cfg)
+                norms.append(np.linalg.norm(out[0] - feats, axis=1))
+                paths.add("input space")
+                return out
+
+            monkeypatch.setattr(network, "_pgd_l2_coordinates", in_coordinates)
+            monkeypatch.setattr(network, "_pgd_attack_batch", in_input_space)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, log = adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
+            monkeypatch.setattr(network, "_pgd_l2_coordinates", coordinates)
+            monkeypatch.setattr(network, "_pgd_attack_batch", attack)
+            assert len(norms) == 31
+            assert np.max(norms) <= eps * (1 + 1e-12)
+            _, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
+            np.testing.assert_array_equal(log.train_errors, ref_log[3])
+            np.testing.assert_array_equal(log.adv_train_errors, ref_log[4])
+    assert paths == {"coordinates", "input space"}
+
+
+@pytest.mark.parametrize("lr", [0.3, 1e8])
+def test_adv_train_nn_in_row_coordinates_diverges_where_the_input_space_loop_does(
+    monkeypatch, lr
+):
+    spec = MixtureSpec(d=60, mu=mu_from_scaling(60, 0.4), eta=0.2, seed=3)
+    ds = generate(spec, 24)
+    net0 = init_network(d=60, h=6, seed=2)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.15), steps=5)
+    net, feats, labels = net0.copy(), ds.features, ds.labels.astype(float)
+    with np.errstate(all="ignore"):
+        for stop in range(50):
+            attacked = network._pgd_attack_batch(net, feats, labels, cfg)[0]
+            if not np.isfinite(labels * forward(net, attacked)).all():
+                break
+            _, g = loss_and_gradients(net, attacked, labels)
+            if not all(np.isfinite(x).all() for x in (g.W1, g.b1, g.w2, g.b2)):
+                break
+            net.W1 -= lr * g.W1
+            net.b1 -= lr * g.b1
+            net.w2 -= lr * g.w2
+            net.b2 -= lr * g.b2
+    assert stop < 49
+    calls = _spy_on_attack(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=f"^network training diverged at epoch {stop}$"):
+            adv_train_nn(ds, net0, cfg, epochs=50, lr=lr)
+    assert calls == []
+
+
 def test_adv_train_nn_rejects_negative_epochs():
     spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
     ds = generate(spec, 10)
