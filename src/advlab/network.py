@@ -77,13 +77,15 @@ class TwoLayerNet:
         return self.W1.shape[1]
 
     def param_l2(self) -> float:
-        return math.sqrt(
-            float(np.sum(self.W1**2) + np.sum(self.b1**2) + np.sum(self.w2**2))
-            + self.b2**2
-        )
+        return _param_l2(self, np.sum(self.W1**2))
 
     def copy(self) -> "TwoLayerNet":
         return TwoLayerNet(self.W1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2))
+
+
+def _param_l2(net: TwoLayerNet, w1_sq: float) -> float:
+    """``param_l2`` of net with ||W1||_F^2 given as w1_sq."""
+    return math.sqrt(float(w1_sq + np.sum(net.b1**2) + np.sum(net.w2**2)) + net.b2**2)
 
 
 @dataclass(frozen=True)
@@ -405,9 +407,7 @@ def adv_train_nn(
             out = None if R is None else _pgd_l2_coordinates(R, G, abs_G, net, labels, pgd)
             if out is not None:
                 rows, clean[t], attacked[t], u, K = out
-                p_l2[t] = math.sqrt(
-                    float(np.trace(K) + np.sum(net.b1**2) + np.sum(net.w2**2)) + net.b2**2
-                )
+                p_l2[t] = _param_l2(net, np.trace(K))
             else:
                 if R is not None:
                     net.W1, R = R @ B, None
