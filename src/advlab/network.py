@@ -17,6 +17,15 @@ gradient of a training epoch reads its pre-activations and margins at the
 returned points, training fills its log from each epoch's kept margins
 after the loop, and evaluation reads its risks from the margins.
 
+Evaluation streams its samples (``risk._stream_eval_rows``) and never forms
+the m x d feature block: it keeps the m-vectors of margins, at most a few
+m x h arrays and one stream chunk.  The stream draws the labels after all
+the noise.  The l2 attack needs them only after the clean pre-activations
+x W1^T + b1, so it keeps those from one pass and runs on their row
+coefficients.  Every other attack, and an l2 attack whose rescale has lost
+its digits, replays the stream from its seed once the labels are known and
+attacks chunk by chunk.
+
 l2 training goes one step further when h + n < d.  Each attack step and
 rescale is a combination of W1's rows, and each W1 gradient dU^T x_adv one
 of the attacked inputs, so W1 stays in the span of the rows of
@@ -90,7 +99,8 @@ def _param_l2(net: TwoLayerNet, w1_sq: float) -> float:
 
 @dataclass(frozen=True)
 class PgdConfig:
-    """Attack parameters: the lp ball and the number of steps.
+    """Attack parameters: the lp ball and the number of steps (>= 0; 0 or a
+    zero budget means no attack).
 
     The step is 2.5 * epsilon / steps, so the iterates can cross the ball a
     couple of times.
@@ -98,6 +108,10 @@ class PgdConfig:
 
     model: PerturbationModel
     steps: int = 10
+
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
     def effective_step(self) -> float:
         return 2.5 * self.model.epsilon / max(self.steps, 1)
@@ -152,6 +166,11 @@ def _backward(
     dU = coef[:, None] * ((u > 0.0) * net.w2[None, :])
     grads = TwoLayerNet(W1=dU.T @ feats, b1=dU.sum(axis=0), w2=act.T @ coef, b2=float(np.sum(coef)))
     return float(np.sum(wexp)), grads
+
+
+def _margins(u: np.ndarray, labels: np.ndarray, net: TwoLayerNet) -> np.ndarray:
+    """Margins y * score of the rows with pre-activations u; net supplies w2 and b2."""
+    return labels * (np.maximum(u, 0.0) @ net.w2 + net.b2)
 
 
 def _score_and_input_ascent(
@@ -262,7 +281,7 @@ def _l2_coefficient_steps(
     """
     w2 = net.w2
     h = w2.size
-    clean_margin = labels * (np.maximum(u0, 0.0) @ w2 + net.b2)
+    clean_margin = _margins(u0, labels, net)
     neg_yw2 = (-labels)[:, None] * w2
     # A @ K is written into its half: a product with [I | K] rounds otherwise
     A_AK = np.empty((u0.shape[0], 2 * h))
@@ -284,7 +303,7 @@ def _l2_coefficient_steps(
         nrm = np.sqrt(np.maximum(np.einsum("ij,ij->i", C, CK), 0.0))
         C_CK *= (eps / np.maximum(nrm, eps))[:, None]
         u = u0 + CK
-        margin = labels * (np.maximum(u, 0.0) @ w2 + net.b2)
+        margin = _margins(u, labels, net)
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
         np.copyto(best_C, C, where=better[:, None])
@@ -293,6 +312,41 @@ def _l2_coefficient_steps(
 
 # d G d^T below this fraction of |d| |G| |d|^T has lost its digits to cancellation
 _CANCELLED = 1e-3
+
+
+def _l2_delta_in_ball(
+    D: np.ndarray,
+    G: np.ndarray,
+    abs_G: np.ndarray,
+    GRt: np.ndarray,
+    u0: np.ndarray,
+    clean_margin: np.ndarray,
+    labels: np.ndarray,
+    net: TwoLayerNet,
+    eps: float,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The best l2 attack coefficients D, rescaled onto the eps-ball and scored.
+
+    D holds one delta per row in coordinates on a basis with Gram matrix G;
+    GRt maps those coordinates to the change of the pre-activations, whose
+    clean values are u0.  Each row is scaled by eps / max(sqrt(d G d^T), eps),
+    and a row whose attacked margin is not below its clean one keeps delta = 0.
+    Returns D (rescaled in place), the kept margins and the pre-activations at
+    the kept points, or None where some row's d G d^T has lost its digits (W1's
+    rows nearly cancel there): that delta can be projected only in input space.
+    """
+    sq = np.einsum("ij,ij->i", D, D @ G)
+    abs_D = np.abs(D)
+    # also false on nan, so those rows too go to the input-space attack
+    if not np.all(sq >= _CANCELLED * np.einsum("ij,ij->i", abs_D, abs_D @ abs_G)):
+        return None
+    D *= (eps / np.maximum(np.sqrt(sq), eps))[:, None]
+    u = u0 + D @ GRt
+    margin = _margins(u, labels, net)
+    stayed = ~(margin < clean_margin)
+    D[stayed] = 0.0
+    u[stayed] = u0[stayed]
+    return D, np.where(stayed, clean_margin, margin), u
 
 
 def _pgd_l2_coordinates(
@@ -311,11 +365,9 @@ def _pgd_l2_coordinates(
     pre-activations and K = W1 W1^T.  Each array is (h + n)-sized: K is
     R G R^T, the clean pre-activations are the X block of G R^T plus b1, the
     coefficient loop runs as in ``_pgd_l2_row_space``, delta has coordinates
-    D = s best_C R with the l2 rescale s read from D G D^T, and the attacked
-    pre-activations are u0 + D G R^T.  Returns None where some row's D G D^T
-    has lost its digits (W1's rows nearly cancel there): that delta can be
-    projected only in input space, and coordinates that large would carry
-    their rounding into every later W1.
+    D = s best_C R rescaled by ``_l2_delta_in_ball``, and the attacked
+    pre-activations are u0 + D G R^T.  Returns None where that rescale does:
+    coordinates that large would carry their rounding into every later W1.
     """
     h, n = R.shape[0], labels.size
     eps = cfg.model.epsilon
@@ -325,20 +377,12 @@ def _pgd_l2_coordinates(
     clean_margin, best_C = _l2_coefficient_steps(
         K, u0, labels, net, eps, cfg.steps, cfg.effective_step()
     )
-    D = best_C @ R
-    sq = np.einsum("ij,ij->i", D, D @ G)
-    abs_D = np.abs(D)
-    # also false on nan, which the input-space epoch reports as divergence
-    if not np.all(sq >= _CANCELLED * np.einsum("ij,ij->i", abs_D, abs_D @ abs_G)):
+    out = _l2_delta_in_ball(best_C @ R, G, abs_G, GRt, u0, clean_margin, labels, net, eps)
+    if out is None:
         return None
-    D *= (eps / np.maximum(np.sqrt(sq), eps))[:, None]
-    u = u0 + D @ GRt
-    margin = labels * (np.maximum(u, 0.0) @ net.w2 + net.b2)
-    stayed = ~(margin < clean_margin)
-    D[stayed] = 0.0
-    u[stayed] = u0[stayed]
+    D, margin, u = out
     D[np.arange(n), np.arange(h, h + n)] += 1.0
-    return D, clean_margin, np.where(stayed, clean_margin, margin), u, K
+    return D, clean_margin, margin, u, K
 
 
 def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.ndarray:
@@ -451,21 +495,72 @@ def evaluate_nn_risks(
     """Monte Carlo risks of a network; the adversarial one via PGD.
 
     PGD only lower-bounds the true worst case, so the adversarial figure is
-    a certified lower bound on the adversarial risk.
+    a certified lower bound on the adversarial risk.  The samples are those
+    of one m x d block draw (``risk`` module docstring), streamed in chunks
+    and never gathered (module docstring), so memory is O(m h) floats plus
+    one chunk of about 512 KB.  BLAS may round a chunk's products, and the
+    l2 rescale read from c K c^T, differently from the block's attack, so a
+    margin may differ from the block's in its last bits (about 1e-15
+    relative); an estimate changes only through a margin that close to 0.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     eval_seed = spec.seed if seed is None else seed
-    # PGD needs the observed labels, which the stream draws after all the
-    # noise, so the rows are gathered whole into one m x d block
-    feats = np.empty((m, spec.d))
-
-    def consume(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
-        np.add(clean[:, None] * spec.mu, xi, out=feats[rows])
-
-    labels = _stream_eval_rows(spec, m, eval_seed, consume).astype(float)
-
-    _, clean_margins, adv_margins, _ = _pgd_attack_batch(net, feats, labels, pgd)
+    margins = _label_free_margins(net, spec, pgd, m, eval_seed)
+    if margins is None:
+        margins = _replayed_margins(net, spec, pgd, m, eval_seed)
+    clean, attacked = margins
     return RiskReport.monte_carlo(
-        float(np.mean(clean_margins < 0.0)), float(np.mean(adv_margins < 0.0)), m
+        float(np.mean(clean < 0.0)), float(np.mean(attacked < 0.0)), m
     )
+
+
+def _label_free_margins(
+    net: TwoLayerNet, spec: MixtureSpec, pgd: PgdConfig, m: int, seed: int
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Clean and attacked margins from one pass that keeps only x W1^T + b1.
+
+    Serves every evaluation without an attack and the l2 attack, which runs
+    on row coefficients (``_l2_coefficient_steps``) with K = W1 W1^T: delta
+    is s best_C W1, s is read from c K c^T and the attacked pre-activations
+    are u0 + s best_C K (``_l2_delta_in_ball``).  Returns None for any other
+    attack, and where that rescale has lost its digits.
+    """
+    model = pgd.model
+    attacks = model.epsilon > 0.0 and pgd.steps > 0
+    if attacks and model.p != 2.0:
+        return None
+    u0 = np.empty((m, net.h))
+
+    def pre_activations(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
+        np.matmul(clean[:, None] * spec.mu + xi, net.W1.T, out=u0[rows])
+
+    labels = _stream_eval_rows(spec, m, seed, pre_activations).astype(float)
+    u0 += net.b1
+    if not attacks:
+        clean_margin = _margins(u0, labels, net)
+        return clean_margin, clean_margin
+    eps = model.epsilon
+    K = net.W1 @ net.W1.T
+    clean_margin, best_C = _l2_coefficient_steps(
+        K, u0, labels, net, eps, pgd.steps, pgd.effective_step()
+    )
+    out = _l2_delta_in_ball(best_C, K, np.abs(K), K, u0, clean_margin, labels, net, eps)
+    return None if out is None else (clean_margin, out[1])
+
+
+def _replayed_margins(
+    net: TwoLayerNet, spec: MixtureSpec, pgd: PgdConfig, m: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clean and attacked margins from two passes over the stream: the first
+    draws the samples only to reach the labels, the second draws them again
+    from the same seed and attacks each chunk with ``_pgd_attack_batch``."""
+    labels = _stream_eval_rows(spec, m, seed, lambda rows, clean, xi: None).astype(float)
+    clean_margin, attacked = np.empty((2, m))
+
+    def attack(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
+        feats = clean[:, None] * spec.mu + xi
+        _, clean_margin[rows], attacked[rows], _ = _pgd_attack_batch(net, feats, labels[rows], pgd)
+
+    _stream_eval_rows(spec, m, seed, attack)
+    return clean_margin, attacked

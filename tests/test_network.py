@@ -19,7 +19,8 @@ from advlab.network import (
     pgd_attack,
 )
 from advlab.norms import PerturbationModel, lp_norm, norm_subgradient_rows, project_onto_ball
-from oracles import _log_exp_loss
+from advlab.risk import _CHUNK_FLOATS
+from oracles import _block_nn_evaluation, _log_exp_loss
 
 
 def _dataset(features, labels) -> Dataset:
@@ -420,6 +421,14 @@ def test_pgd_config_default_step():
     assert cfg.effective_step() == pytest.approx(0.1)
 
 
+def test_pgd_config_rejects_negative_steps():
+    model = PerturbationModel(2.0, 0.4)
+    for steps in (-1, -3):
+        with pytest.raises(ValueError, match=f"^steps must be >= 0, got {steps}$"):
+            PgdConfig(model=model, steps=steps)
+    assert PgdConfig(model=model, steps=0).effective_step() == pytest.approx(1.0)
+
+
 # ------------------------------------------------------------ initialization
 
 
@@ -586,6 +595,17 @@ def test_adv_train_nn_attacks_in_input_space_unless_l2_with_h_plus_n_below_d(
     assert len(calls) == (0 if coordinates else 7)
 
 
+def _nearly_cancelling_net(d, h, offset, other_w2, other_b1) -> TwoLayerNet:
+    """W1 rows 0 and 1 parallel to within offset, with w2 weights +1 and -1;
+    the other units' w2 scaled by other_w2 and their b1 set to other_b1."""
+    net = init_network(d=d, h=h, seed=0)
+    net.W1[1] = net.W1[0] * (1 + offset)
+    net.w2[:2] = 1.0, -1.0
+    net.w2[2:] *= other_w2
+    net.b1[2:] = other_b1
+    return net
+
+
 def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(monkeypatch):
     """Two nearly parallel W1 rows with opposite w2 weights and a repeated
     sample (G singular): where D G D^T loses its digits, training hands over
@@ -600,11 +620,7 @@ def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(m
             spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
             ds = generate(spec, n)
             ds.features[-1], ds.labels[-1] = ds.features[0], ds.labels[0]
-            net0 = init_network(d=d, h=h, seed=0)
-            net0.W1[1] = net0.W1[0] * (1 + offset)
-            net0.w2[:2] = 1.0, -1.0
-            net0.w2[2:] *= other_w2
-            net0.b1[2:] = other_b1
+            net0 = _nearly_cancelling_net(d, h, offset, other_w2, other_b1)
             basis = np.vstack([net0.W1, ds.features])
             norms = []
 
@@ -688,16 +704,69 @@ def test_evaluate_nn_risks_rejects_nonpositive_m():
             evaluate_nn_risks(init_network(d=6, h=4, seed=0), spec, cfg, m=m)
 
 
-def test_evaluate_nn_risks_equal_rescoring_with_forward(monkeypatch):
-    spec = MixtureSpec(d=10, mu=mu_from_scaling(10, 0.3), eta=0.1, seed=6)
-    net = init_network(d=10, h=8, seed=2)
-    cfg = PgdConfig(model=PerturbationModel(2.0, 0.2), steps=5)
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("p", [2.0, np.inf, 1.0, 3.0])
+def test_evaluate_nn_risks_equal_the_whole_block_evaluation(p, dist):
+    d = 2000
+    chunk = _CHUNK_FLOATS // d
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), noise_dist=dist, eta=0.1, seed=1)
+    net = init_network(d=d, h=8, seed=3)
+    cfg = PgdConfig(model=PerturbationModel(p, 0.3), steps=3)
+    for m in (1, chunk, chunk + 1, 3 * chunk + 5):
+        want, feats, labels = _block_nn_evaluation(net, spec, cfg, m, 4)
+        rep = evaluate_nn_risks(net, spec, cfg, m=m, seed=4)
+        assert rep == want, m
+        assert rep.std_risk == float(np.mean(labels * forward(net, feats) < 0.0)), m
+
+
+@pytest.mark.parametrize(
+    "p, eps, steps, replays",
+    [
+        (2.0, 0.2, 3, False),
+        (2.0, 0.0, 3, False),
+        (np.inf, 0.0, 3, False),
+        (1.0, 0.2, 0, False),
+        (np.inf, 0.2, 3, True),
+    ],
+    ids=["l2", "l2-eps0", "linf-eps0", "l1-steps0", "linf"],
+)
+def test_evaluate_nn_risks_attacks_stream_chunks_only_for_dense_attacks(
+    monkeypatch, p, eps, steps, replays
+):
+    d, m = 300, 659
+    chunk = _CHUNK_FLOATS // d
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=2)
+    net = init_network(d=d, h=4, seed=0)
+    cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
+    want, feats, labels = _block_nn_evaluation(net, spec, cfg, m, 7)
     calls = _spy_on_attack(monkeypatch)
-    rep = evaluate_nn_risks(net, spec, cfg, m=500)
-    ((_, feats, labels, attacked),) = calls
-    assert rep.std_risk == float(np.mean(labels * forward(net, feats) < 0.0))
-    assert rep.adv_risk == float(np.mean(labels * forward(net, attacked) < 0.0))
-    assert rep.adv_risk > rep.std_risk
+    assert evaluate_nn_risks(net, spec, cfg, m=m, seed=7) == want
+    if not replays:
+        assert calls == []
+        return
+    assert [len(c[1]) for c in calls] == [min(chunk, m - lo) for lo in range(0, m, chunk)]
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in calls]), feats)
+    np.testing.assert_array_equal(np.concatenate([c[2] for c in calls]), labels)
+
+
+def test_evaluate_nn_risks_replays_the_stream_when_rows_nearly_cancel(monkeypatch):
+    """Where c K c^T loses its digits to nearly cancelling W1 rows, the l2
+    evaluation replays the stream and attacks each chunk in input space, so
+    its risks are those of the whole-block attack."""
+    d, m = 60, 2000
+    chunk = _CHUNK_FLOATS // d
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.2), steps=8)
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
+    calls = _spy_on_attack(monkeypatch)
+    for other_w2, other_b1 in ((0.0, -50.0), (1e-6, 0.0)):
+        for offset in (1e-4, 1e-8):
+            net = _nearly_cancelling_net(d, 6, offset, other_w2, other_b1)
+            want, _, _ = _block_nn_evaluation(net, spec, cfg, m, 3)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert evaluate_nn_risks(net, spec, cfg, m=m, seed=3) == want
+            assert [len(c[1]) for c in calls] == [chunk, m - chunk]
 
 
 def test_evaluate_nn_risks_bounds_and_dominance():

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from advlab import network
-from advlab.data import NOISE_DISTS, STREAM_EVAL, MixtureSpec, _draw_noise, generate, keyed_rng
+from advlab.data import NOISE_DISTS, MixtureSpec, generate
 from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.risk import (
     _CHUNK_FLOATS,
@@ -20,6 +20,7 @@ from advlab.risk import (
     monte_carlo_risk,
     normal_cdf,
 )
+from oracles import _one_block_draw
 
 
 def _phi(x: float) -> float:
@@ -255,15 +256,6 @@ def test_mc_eval_stream_disjoint_from_training_samples():
     assert rep1 == rep2  # same stream, same samples
 
 
-def _one_block_draw(spec, m, seed):
-    """The evaluation samples drawn as one m x d block: labels, noise, flips."""
-    rng = keyed_rng(seed, STREAM_EVAL)
-    clean = np.where(rng.integers(0, 2, size=m) == 0, 1, -1).astype(np.int64)
-    xi = _draw_noise(rng, spec.noise_dist, m * spec.d).reshape(m, spec.d)
-    flips = rng.random(m) < spec.eta
-    return clean[:, None] * spec.mu + xi, np.where(flips, -clean, clean)
-
-
 @pytest.mark.parametrize("dist", NOISE_DISTS)
 def test_mc_risk_chunked_stream_matches_one_block_draw(dist):
     for d in (1, 7, 1000):
@@ -299,25 +291,6 @@ def test_stream_chunks_rebuild_one_block_draw_features(dist):
             np.testing.assert_array_equal(labels, want_labels)
 
 
-def test_nn_evaluation_block_is_the_one_block_draw(monkeypatch):
-    spec = MixtureSpec(d=300, mu=np.full(300, 0.05), noise_dist="rademacher", eta=0.2, seed=2)
-    m = 3 * (_CHUNK_FLOATS // spec.d) + 5
-    seen = []
-    attack = network._pgd_attack_batch
-
-    def spy(net, feats, labels, cfg):
-        seen.append((feats.copy(), labels.copy()))
-        return attack(net, feats, labels, cfg)
-
-    monkeypatch.setattr(network, "_pgd_attack_batch", spy)
-    net = network.init_network(d=spec.d, h=4, seed=0)
-    pgd = network.PgdConfig(model=PerturbationModel(2.0, 0.1), steps=2)
-    network.evaluate_nn_risks(net, spec, pgd, m=m, seed=7)
-    feats, labels = _one_block_draw(spec, m, 7)
-    np.testing.assert_array_equal(seen[0][0], feats)
-    np.testing.assert_array_equal(seen[0][1], labels.astype(float))
-
-
 def test_mc_risk_memory_does_not_grow_with_m_times_d():
     # one block would take m*d*8 = 160 MB; the stream keeps O(m) plus a chunk
     spec = MixtureSpec(d=1000, mu=np.full(1000, 0.01), eta=0.1, seed=4)
@@ -329,6 +302,28 @@ def test_mc_risk_memory_does_not_grow_with_m_times_d():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_nn_evaluation_memory_does_not_grow_with_m_times_d(p):
+    # the block alone would take m*d*8 = 153 and 610 MiB; the evaluation keeps
+    # m-vectors, a few m x h arrays and one stream chunk.  Rademacher noise
+    # draws fastest, and p = inf draws the stream twice.
+    m, h = 20_000, 8
+    pgd = network.PgdConfig(model=PerturbationModel(p, 0.1), steps=1)
+    peaks = []
+    for d in (1000, 4000):
+        spec = MixtureSpec(d=d, mu=np.full(d, 0.01), noise_dist="rademacher", eta=0.1, seed=4)
+        net = network.init_network(d=d, h=h, seed=0)
+        tracemalloc.start()
+        try:
+            network.evaluate_nn_risks(net, spec, pgd, m=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) < 24 * 2**20, peaks
+    assert abs(peaks[0] - peaks[1]) < _CHUNK_FLOATS * 8, peaks
 
 
 # ------------------------------------------------------------ empirical risk
