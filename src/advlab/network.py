@@ -365,9 +365,10 @@ def _pgd_l2_coordinates(
     pre-activations and K = W1 W1^T.  Each array is (h + n)-sized: K is
     R G R^T, the clean pre-activations are the X block of G R^T plus b1, the
     coefficient loop runs as in ``_pgd_l2_row_space``, delta has coordinates
-    D = s best_C R rescaled by ``_l2_delta_in_ball``, and the attacked
-    pre-activations are u0 + D G R^T.  Returns None where that rescale does:
-    coordinates that large would carry their rounding into every later W1.
+    D = s best_C R with s read from D G D^T (``_l2_delta_in_ball``), and the
+    attacked pre-activations are u0 + D G R^T.  Returns None where that
+    rescale does: coordinates that large would carry their rounding into
+    every later W1.
     """
     h, n = R.shape[0], labels.size
     eps = cfg.model.epsilon
