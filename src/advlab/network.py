@@ -17,21 +17,23 @@ gradient of a training epoch reads its pre-activations and margins at the
 returned points, training fills its log from each epoch's kept margins
 after the loop, and evaluation reads its risks from the margins.
 
+Training and evaluation rescale the l2 attack's delta = C W1 in coordinates
+on an orthonormal basis Q of a span that holds W1's rows, where ||delta|| is
+the plain norm of delta's coordinates (``_l2_delta_in_ball``).  In training
+that span is the one of the rows of [W1_0; X]: each attack step and rescale
+is a combination of W1's rows, and each W1 gradient dU^T x_adv one of the
+attacked inputs, so W1 stays in it.  One reduced QR gives Q, with
+min(d, h + n) columns, and an epoch reads only the coordinates R = W1 Q and
+E = X Q; W1 is formed once, after the loop.
+
 Evaluation streams its samples (``risk._stream_eval_rows``) and never forms
 the m x d feature block: it keeps the m-vectors of margins, at most a few
 m x h arrays and one stream chunk.  The stream draws the labels after all
 the noise.  The l2 attack needs them only after the clean pre-activations
-x W1^T + b1, so it keeps those from one pass and runs on their row
-coefficients.  Every other attack, and an l2 attack whose rescale has lost
-its digits, replays the stream from its seed once the labels are known and
+x W1^T + b1, so it keeps those from one pass, runs on their row
+coefficients and rescales on Q from the QR factorization of W1^T.  Every
+other attack replays the stream from its seed once the labels are known and
 attacks chunk by chunk.
-
-l2 training goes one step further when h + n < d.  Each attack step and
-rescale is a combination of W1's rows, and each W1 gradient dU^T x_adv one
-of the attacked inputs, so W1 stays in the span of the rows of
-B = [W1_0; X]: W1 = R B with an h x (h + n) coefficient matrix R.  An epoch
-then reads only R and G = B B^T, formed once, and costs O(h (h + n)^2)
-instead of O(n h d); W1 is formed once, after the loop.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
@@ -310,38 +312,28 @@ def _l2_coefficient_steps(
     return clean_margin, best_C
 
 
-# d G d^T below this fraction of |d| |G| |d|^T has lost its digits to cancellation
-_CANCELLED = 1e-3
-
-
 def _l2_delta_in_ball(
     D: np.ndarray,
-    G: np.ndarray,
-    abs_G: np.ndarray,
-    GRt: np.ndarray,
+    Rt: np.ndarray,
     u0: np.ndarray,
     clean_margin: np.ndarray,
     labels: np.ndarray,
     net: TwoLayerNet,
     eps: float,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The best l2 attack coefficients D, rescaled onto the eps-ball and scored.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best l2 attack's deltas, rescaled onto the eps-ball and scored.
 
-    D holds one delta per row in coordinates on a basis with Gram matrix G;
-    GRt maps those coordinates to the change of the pre-activations, whose
-    clean values are u0.  Each row is scaled by eps / max(sqrt(d G d^T), eps),
-    and a row whose attacked margin is not below its clean one keeps delta = 0.
-    Returns D (rescaled in place), the kept margins and the pre-activations at
-    the kept points, or None where some row's d G d^T has lost its digits (W1's
-    rows nearly cancel there): that delta can be projected only in input space.
+    D holds one delta per row in coordinates on an orthonormal basis Q, so
+    each delta's norm is its row's norm in D; Rt = Q^T W1^T maps those
+    coordinates to the change of the pre-activations, whose clean values are
+    u0.  Each row is scaled by eps / max(||d||, eps), and a row whose
+    attacked margin is not below its clean one keeps delta = 0.  Returns D
+    (rescaled in place), the kept margins and the pre-activations at the kept
+    points.
     """
-    sq = np.einsum("ij,ij->i", D, D @ G)
-    abs_D = np.abs(D)
-    # also false on nan, so those rows too go to the input-space attack
-    if not np.all(sq >= _CANCELLED * np.einsum("ij,ij->i", abs_D, abs_D @ abs_G)):
-        return None
-    D *= (eps / np.maximum(np.sqrt(sq), eps))[:, None]
-    u = u0 + D @ GRt
+    nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+    D *= (eps / np.maximum(nrm, eps))[:, None]
+    u = u0 + D @ Rt
     margin = _margins(u, labels, net)
     stayed = ~(margin < clean_margin)
     D[stayed] = 0.0
@@ -350,40 +342,32 @@ def _l2_delta_in_ball(
 
 
 def _pgd_l2_coordinates(
-    R: np.ndarray,
-    G: np.ndarray,
-    abs_G: np.ndarray,
-    net: TwoLayerNet,
-    labels: np.ndarray,
-    cfg: PgdConfig,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The l2 attack of a net whose first layer is W1 = R B, in coordinates on
-    the rows of B = [W1_0; X], with G = B B^T; net supplies b1, w2 and b2.
+    R: np.ndarray, E: np.ndarray, net: TwoLayerNet, labels: np.ndarray, cfg: PgdConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The l2 attack of a net whose first layer has coordinates R = W1 Q on
+    an orthonormal basis Q, on samples with coordinates E = X Q; net supplies
+    b1, w2 and b2.
 
-    Returns the attacked rows' coordinates E + D (x_adv = (E + D) B with
-    E = [0 | I]), the clean and attacked margins, the attacked
-    pre-activations and K = W1 W1^T.  Each array is (h + n)-sized: K is
-    R G R^T, the clean pre-activations are the X block of G R^T plus b1, the
-    coefficient loop runs as in ``_pgd_l2_row_space``, delta has coordinates
-    D = s best_C R with s read from D G D^T (``_l2_delta_in_ball``), and the
-    attacked pre-activations are u0 + D G R^T.  Returns None where that
-    rescale does: coordinates that large would carry their rounding into
-    every later W1.
+    Returns the attacked rows' coordinates E + D, the clean and attacked
+    margins, the attacked pre-activations and K = W1 W1^T.  K is R R^T, the
+    clean pre-activations are E R^T + b1, the coefficient loop runs as in
+    ``_pgd_l2_row_space``, delta has coordinates D = s best_C R with s read
+    from ||D|| (``_l2_delta_in_ball``), and the attacked pre-activations are
+    u0 + D R^T.
     """
-    h, n = R.shape[0], labels.size
     eps = cfg.model.epsilon
-    GRt = G @ R.T
-    K = R @ GRt
-    u0 = GRt[h:] + net.b1
+    K = R @ R.T
+    u0 = E @ R.T + net.b1
     clean_margin, best_C = _l2_coefficient_steps(
         K, u0, labels, net, eps, cfg.steps, cfg.effective_step()
     )
-    out = _l2_delta_in_ball(best_C @ R, G, abs_G, GRt, u0, clean_margin, labels, net, eps)
-    if out is None:
-        return None
-    D, margin, u = out
-    D[np.arange(n), np.arange(h, h + n)] += 1.0
-    return D, clean_margin, margin, u, K
+    D, margin, u = _l2_delta_in_ball(best_C @ R, R.T, u0, clean_margin, labels, net, eps)
+    return E + D, clean_margin, margin, u, K
+
+
+def _check_input_size(net: TwoLayerNet, d: int) -> None:
+    if d != net.d:
+        raise ValueError(f"the network takes d={net.d} inputs, the data has d={d}")
 
 
 def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.ndarray:
@@ -391,6 +375,7 @@ def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.nd
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
     feats = np.asarray(x, dtype=float)[None, :]
+    _check_input_size(net, feats.shape[-1])
     return _pgd_attack_batch(net, feats, np.array([float(y)]), cfg)[0][0]
 
 
@@ -423,15 +408,19 @@ def adv_train_nn(
     the t-th update, evaluated on that epoch's attacked batch; entry 0 is
     the initial network.  Raises on non-finite loss like the linear trainer.
 
-    At p = 2 with eps > 0, steps > 0 and h + n < d, the epochs run in
-    coordinates on the rows of [W1_0; X] (``_pgd_l2_coordinates``) and agree
-    with the input-space epoch to rounding, about 1e-15 relative.  Should an
-    attack's delta lose its digits in those coordinates, that epoch and the
-    rest run in input space from W1 = R B.  Every other case runs the
-    input-space epoch: ``_pgd_attack_batch`` on x, the gradient dU^T x_adv.
+    At p = 2 with eps > 0 and steps > 0 the epochs run in coordinates on an
+    orthonormal basis Q of the span of the rows of [W1_0; X]
+    (``_pgd_l2_coordinates``): the gradient dU^T x_adv is dU^T (E + D) there,
+    and W1 = W1_0 + (R - R_0) Q^T is formed once, after the loop, so lr = 0
+    returns W1_0 bit for bit.  These epochs agree with the input-space epoch
+    to rounding, about 1e-15 relative.  Every other case runs the input-space
+    epoch: ``_pgd_attack_batch`` on x, the gradient dU^T x_adv.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    _check_input_size(net, ds.d)
     net = net.copy()
     feats = ds.features
     labels = ds.labels.astype(float)
@@ -439,23 +428,19 @@ def adv_train_nn(
     clean, attacked = np.empty((2, epochs + 1, ds.n))
     p_l2 = np.empty(epochs + 1)
     model = pgd.model
-    # W1 = R B while R is set; net.W1 holds W1_0 until R is dropped
-    R = None
-    if model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0 and net.h + ds.n < ds.d:
-        B = np.vstack([net.W1, feats])
-        G = B @ B.T
-        abs_G = np.abs(G)
-        R = np.eye(net.h, net.h + ds.n)
+    coordinates = model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0
+    if coordinates:
+        Q = np.linalg.qr(np.vstack([net.W1, feats]).T)[0]
+        R0 = net.W1 @ Q
+        R = R0.copy()
+        E = feats @ Q
     # overflowed weights propagate as inf/nan and are caught by the checks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
-            out = None if R is None else _pgd_l2_coordinates(R, G, abs_G, net, labels, pgd)
-            if out is not None:
-                rows, clean[t], attacked[t], u, K = out
+            if coordinates:
+                rows, clean[t], attacked[t], u, K = _pgd_l2_coordinates(R, E, net, labels, pgd)
                 p_l2[t] = _param_l2(net, np.trace(K))
             else:
-                if R is not None:
-                    net.W1, R = R @ B, None
                 rows, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
                 p_l2[t] = net.param_l2()
             # the log-loss is finite iff the smallest margin is (``_log_losses``)
@@ -468,14 +453,14 @@ def adv_train_nn(
                     and math.isfinite(grads.b2)):
                 raise RuntimeError(f"network training diverged at epoch {t}")
             # in coordinates, the W1 gradient dU^T x_adv is dU^T (E + D)
-            W1 = net.W1 if R is None else R
+            W1 = R if coordinates else net.W1
             W1 -= lr * grads.W1
             net.b1 -= lr * grads.b1
             net.w2 -= lr * grads.w2
             net.b2 -= lr * grads.b2
         losses = np.exp(-attacked).sum(axis=1)
-    if R is not None:
-        net.W1 = R @ B
+    if coordinates:
+        net.W1 += (R - R0) @ Q.T
     return net, NetTrainLog(
         h=net.h,
         losses=losses,
@@ -499,13 +484,16 @@ def evaluate_nn_risks(
     a certified lower bound on the adversarial risk.  The samples are those
     of one m x d block draw (``risk`` module docstring), streamed in chunks
     and never gathered (module docstring), so memory is O(m h) floats plus
-    one chunk of about 512 KB.  BLAS may round a chunk's products, and the
-    l2 rescale read from c K c^T, differently from the block's attack, so a
-    margin may differ from the block's in its last bits (about 1e-15
-    relative); an estimate changes only through a margin that close to 0.
+    one chunk of about 512 KB.  BLAS may round a chunk's products
+    differently from the block's attack, and the l2 rescale is read from
+    delta's coordinates on an orthonormal basis of W1's rows rather than
+    from the input-space delta, so a margin may differ from the block's in
+    its last bits (about 1e-15 relative); an estimate changes only through a
+    margin that close to 0.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    _check_input_size(net, spec.d)
     eval_seed = spec.seed if seed is None else seed
     margins = _label_free_margins(net, spec, pgd, m, eval_seed)
     if margins is None:
@@ -522,10 +510,11 @@ def _label_free_margins(
     """Clean and attacked margins from one pass that keeps only x W1^T + b1.
 
     Serves every evaluation without an attack and the l2 attack, which runs
-    on row coefficients (``_l2_coefficient_steps``) with K = W1 W1^T: delta
-    is s best_C W1, s is read from c K c^T and the attacked pre-activations
-    are u0 + s best_C K (``_l2_delta_in_ball``).  Returns None for any other
-    attack, and where that rescale has lost its digits.
+    on row coefficients (``_l2_coefficient_steps``) with K = W1 W1^T.  The
+    QR factorization W1^T = Q T gives W1 = T^T Q^T, so delta = best_C W1 has
+    coordinates best_C T^T on Q, and the attacked pre-activations are
+    u0 + s best_C T^T T (``_l2_delta_in_ball``).  Returns None for any other
+    attack.
     """
     model = pgd.model
     attacks = model.epsilon > 0.0 and pgd.steps > 0
@@ -542,12 +531,12 @@ def _label_free_margins(
         clean_margin = _margins(u0, labels, net)
         return clean_margin, clean_margin
     eps = model.epsilon
-    K = net.W1 @ net.W1.T
     clean_margin, best_C = _l2_coefficient_steps(
-        K, u0, labels, net, eps, pgd.steps, pgd.effective_step()
+        net.W1 @ net.W1.T, u0, labels, net, eps, pgd.steps, pgd.effective_step()
     )
-    out = _l2_delta_in_ball(best_C, K, np.abs(K), K, u0, clean_margin, labels, net, eps)
-    return None if out is None else (clean_margin, out[1])
+    T = np.linalg.qr(net.W1.T, mode="r")
+    _, margin, _ = _l2_delta_in_ball(best_C @ T.T, T, u0, clean_margin, labels, net, eps)
+    return clean_margin, margin
 
 
 def _replayed_margins(

@@ -178,6 +178,13 @@ def test_pgd_label_validation():
         pgd_attack(net, np.ones(2), 2, cfg)
 
 
+def test_pgd_attack_rejects_an_input_of_another_size():
+    net = init_network(d=6, h=4, seed=0)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
+    with pytest.raises(ValueError, match="^the network takes d=6 inputs, the data has d=7$"):
+        pgd_attack(net, np.ones(7), 1, cfg)
+
+
 def test_pgd_stays_inside_ball():
     rng = np.random.default_rng(5)
     for p in (2.0, np.inf, 3.0):
@@ -480,7 +487,8 @@ def test_adv_train_nn_learns_a_separable_problem():
     assert not np.array_equal(net.W1, net0.W1)
 
 
-@pytest.mark.parametrize("p", [2.0, np.inf])
+# p = 2 trains in coordinates, without an input-space attack to rescore
+@pytest.mark.parametrize("p", [np.inf])
 def test_adv_train_nn_log_equals_rescoring_with_forward(monkeypatch, p):
     spec = MixtureSpec(d=12, mu=mu_from_scaling(12, 0.4), eta=0.1, seed=5)
     ds = generate(spec, 24)
@@ -525,9 +533,7 @@ def _reference_adv_train_nn(ds, net, pgd, epochs, lr):
     return net, np.array(log).T
 
 
-@pytest.mark.parametrize(
-    "d, h, p", [(12, 6, 2.0), (6, 12, 2.0), (12, 6, np.inf)], ids=["l2-h<d", "l2-h>=d", "linf"]
-)
+@pytest.mark.parametrize("d, h, p", [(12, 6, np.inf)], ids=["linf"])
 def test_adv_train_nn_is_bitwise_the_attack_then_loss_and_gradients_loop(d, h, p):
     # the epoch reuses the attack's pre-activations and margins for the
     # gradient and fills the log after the loop; neither may change a bit
@@ -552,17 +558,29 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n, d, h", [(1, 40, 4), (24, 60, 6), (50, 300, 32)])
-def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatch, n, d, h):
-    # h + n < d at p = 2: W1 = R [W1_0; X] trains on R, and agrees with the
+@pytest.mark.parametrize(
+    "n, d, h, lr",
+    [
+        (1, 40, 4, 1e-3),
+        (24, 60, 6, 1e-3),
+        (50, 300, 32, 1e-3),
+        (24, 12, 6, 5e-3),
+        (24, 6, 12, 5e-3),
+        (200, 5, 32, 1e-4),
+    ],
+    ids=["1-40-4", "24-60-6", "50-300-32", "l2-h<d", "l2-h>=d", "n>>d"],
+)
+def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatch, n, d, h, lr):
+    # at p = 2 W1 trains on its coordinates on an orthonormal basis of the
+    # rows of [W1_0; X], with min(d, h + n) columns, and agrees with the
     # attack-then-gradient loop on W1 to rounding
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=n)
     ds = generate(spec, n)
     net0 = init_network(d=d, h=h, seed=n + 1)
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.15), steps=5)
-    ref_net, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=40, lr=1e-3)
+    ref_net, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=40, lr=lr)
     calls = _spy_on_attack(monkeypatch)
-    net, log = adv_train_nn(ds, net0, cfg, epochs=40, lr=1e-3)
+    net, log = adv_train_nn(ds, net0, cfg, epochs=40, lr=lr)
     assert calls == []
     for block in ("W1", "b1", "w2"):
         _assert_close(getattr(net, block), getattr(ref_net, block))
@@ -585,13 +603,15 @@ def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatc
 def test_adv_train_nn_attacks_in_input_space_unless_l2_with_h_plus_n_below_d(
     monkeypatch, h, p, eps, steps
 ):
+    # the name is from when h + n < d also routed; the l2 attack now trains
+    # in coordinates at every shape
     d, n = 40, 10
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=2)
     ds = generate(spec, n)
     cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
     calls = _spy_on_attack(monkeypatch)
     adv_train_nn(ds, init_network(d=d, h=h, seed=5), cfg, epochs=6, lr=1e-3)
-    coordinates = p == 2.0 and eps > 0.0 and steps > 0 and h + n < d
+    coordinates = p == 2.0 and eps > 0.0 and steps > 0
     assert len(calls) == (0 if coordinates else 7)
 
 
@@ -608,50 +628,40 @@ def _nearly_cancelling_net(d, h, offset, other_w2, other_b1) -> TwoLayerNet:
 
 def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(monkeypatch):
     """Two nearly parallel W1 rows with opposite w2 weights and a repeated
-    sample (G singular): where D G D^T loses its digits, training hands over
-    to the input-space epoch, so every epoch's perturbation lies in the ball
-    and the errors are those of the input-space loop."""
+    sample: each epoch's delta is rescaled by the norm of its coordinates on
+    the orthonormal basis, where no digits cancel, so every perturbation lies
+    in the ball and the errors are those of the input-space loop."""
     n, d, h, eps = 20, 60, 6, 0.2
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=8)
-    coordinates, attack = network._pgd_l2_coordinates, network._pgd_attack_batch
-    paths = set()
+    in_ball = network._l2_delta_in_ball
     for other_w2, other_b1 in ((0.0, -50.0), (1e-6, 0.0)):
         for offset in (1e-4, 1e-8, 1e-12):
             spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
             ds = generate(spec, n)
             ds.features[-1], ds.labels[-1] = ds.features[0], ds.labels[0]
             net0 = _nearly_cancelling_net(d, h, offset, other_w2, other_b1)
-            basis = np.vstack([net0.W1, ds.features])
+            Q = np.linalg.qr(np.vstack([net0.W1, ds.features]).T)[0]
             norms = []
 
-            def in_coordinates(*args):
-                out = coordinates(*args)
-                if out is not None:
-                    D = out[0].copy()
-                    D[np.arange(n), np.arange(h, h + n)] -= 1.0
-                    norms.append(np.linalg.norm(D @ basis, axis=1))
-                    paths.add("coordinates")
+            def spy(*args):
+                out = in_ball(*args)
+                # ||D|| is ||delta|| on an orthonormal basis; measure both
+                norms.append(np.linalg.norm(out[0], axis=1))
+                norms.append(np.linalg.norm(out[0] @ Q.T, axis=1))
                 return out
 
-            def in_input_space(net, feats, labels, cfg):
-                out = attack(net, feats, labels, cfg)
-                norms.append(np.linalg.norm(out[0] - feats, axis=1))
-                paths.add("input space")
-                return out
-
-            monkeypatch.setattr(network, "_pgd_l2_coordinates", in_coordinates)
-            monkeypatch.setattr(network, "_pgd_attack_batch", in_input_space)
+            monkeypatch.setattr(network, "_l2_delta_in_ball", spy)
+            calls = _spy_on_attack(monkeypatch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _, log = adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
-            monkeypatch.setattr(network, "_pgd_l2_coordinates", coordinates)
-            monkeypatch.setattr(network, "_pgd_attack_batch", attack)
-            assert len(norms) == 31
+            monkeypatch.undo()
+            assert calls == []
+            assert len(norms) == 2 * 31
             assert np.max(norms) <= eps * (1 + 1e-12)
             _, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
             np.testing.assert_array_equal(log.train_errors, ref_log[3])
             np.testing.assert_array_equal(log.adv_train_errors, ref_log[4])
-    assert paths == {"coordinates", "input space"}
 
 
 @pytest.mark.parametrize("lr", [0.3, 1e8])
@@ -696,12 +706,39 @@ def test_adv_train_nn_rejects_negative_epochs():
     assert log.epochs == 0 and np.isfinite(log.losses[0])
 
 
+def test_adv_train_nn_rejects_a_network_of_another_input_size():
+    spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
+    ds = generate(spec, 10)
+    for p in (2.0, np.inf):
+        cfg = PgdConfig(model=PerturbationModel(p, 0.1), steps=3)
+        with pytest.raises(ValueError, match="^the network takes d=5 inputs, the data has d=6$"):
+            adv_train_nn(ds, init_network(d=5, h=4, seed=0), cfg, epochs=2)
+
+
+def test_adv_train_nn_rejects_negative_or_non_finite_lr():
+    spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
+    ds = generate(spec, 10)
+    net0 = init_network(d=6, h=4, seed=0)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
+    for lr in (-1e-3, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^lr must be finite and >= 0, got "):
+            adv_train_nn(ds, net0, cfg, epochs=2, lr=lr)
+
+
 def test_evaluate_nn_risks_rejects_nonpositive_m():
     spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
     for m in (0, -3):
         with pytest.raises(ValueError, match="m must be >= 1"):
             evaluate_nn_risks(init_network(d=6, h=4, seed=0), spec, cfg, m=m)
+
+
+def test_evaluate_nn_risks_rejects_a_network_of_another_input_size():
+    spec = MixtureSpec(d=6, mu=mu_from_scaling(6, 0.4), eta=0.0, seed=1)
+    for p in (2.0, np.inf):
+        cfg = PgdConfig(model=PerturbationModel(p, 0.1), steps=3)
+        with pytest.raises(ValueError, match="^the network takes d=7 inputs, the data has d=6$"):
+            evaluate_nn_risks(init_network(d=7, h=4, seed=0), spec, cfg, m=10)
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
@@ -749,24 +786,24 @@ def test_evaluate_nn_risks_attacks_stream_chunks_only_for_dense_attacks(
     np.testing.assert_array_equal(np.concatenate([c[2] for c in calls]), labels)
 
 
-def test_evaluate_nn_risks_replays_the_stream_when_rows_nearly_cancel(monkeypatch):
-    """Where c K c^T loses its digits to nearly cancelling W1 rows, the l2
-    evaluation replays the stream and attacks each chunk in input space, so
-    its risks are those of the whole-block attack."""
+def test_evaluate_nn_risks_stays_on_one_pass_when_rows_nearly_cancel(monkeypatch):
+    """Where c K c^T would lose its digits to nearly cancelling W1 rows, the
+    l2 evaluation still rescales on the one pass, from the norm of delta's
+    coordinates on an orthonormal basis of W1's rows, and its risks are
+    those of the whole-block attack."""
     d, m = 60, 2000
-    chunk = _CHUNK_FLOATS // d
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.2), steps=8)
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
-    calls = _spy_on_attack(monkeypatch)
     for other_w2, other_b1 in ((0.0, -50.0), (1e-6, 0.0)):
-        for offset in (1e-4, 1e-8):
+        for offset in (1e-4, 1e-8, 1e-12):
             net = _nearly_cancelling_net(d, 6, offset, other_w2, other_b1)
             want, _, _ = _block_nn_evaluation(net, spec, cfg, m, 3)
-            calls.clear()
+            calls = _spy_on_attack(monkeypatch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert evaluate_nn_risks(net, spec, cfg, m=m, seed=3) == want
-            assert [len(c[1]) for c in calls] == [chunk, m - chunk]
+            monkeypatch.undo()
+            assert calls == []
 
 
 def test_evaluate_nn_risks_bounds_and_dominance():
