@@ -17,21 +17,22 @@ gradient of a training epoch reads its pre-activations and margins at the
 returned points, training fills its log from each epoch's kept margins
 after the loop, and evaluation reads its risks from the margins.
 
-Training and evaluation rescale the l2 attack's delta = C W1 in coordinates
-on an orthonormal basis Q of a span that holds W1's rows, where ||delta|| is
-the plain norm of delta's coordinates (``_l2_delta_in_ball``).  In training
-that span is the one of the rows of [W1_0; X]: each attack step and rescale
-is a combination of W1's rows, and each W1 gradient dU^T x_adv one of the
-attacked inputs, so W1 stays in it.  One reduced QR gives Q, with
-min(d, h + n) columns, and an epoch reads only the coordinates R = W1 Q and
-E = X Q; W1 is formed once, after the loop.
+Training runs one epoch for every norm: the attack, then the gradient at
+the returned points, then the update.  At p = 2 the attack never leaves the
+span of W1's rows, and each W1 gradient dU^T x_adv is a combination of
+attacked inputs, so W1 and the attacked inputs stay in the span of the rows
+of [W1_0; X].  Training there changes basis once before its loop, to an
+orthonormal Q of that span with min(d, h + n) columns (one reduced QR): the
+net W1 Q trains on the inputs X Q, and W1 is formed once, after the loop.
+An orthonormal change of basis keeps l2 norms, so the ball is the same.
 
 Evaluation streams its samples (``risk._stream_eval_rows``) and never forms
 the m x d feature block: it keeps the m-vectors of margins, at most a few
 m x h arrays and one stream chunk.  The stream draws the labels after all
 the noise.  The l2 attack needs them only after the clean pre-activations
 x W1^T + b1, so it keeps those from one pass, runs on their row
-coefficients and rescales on Q from the QR factorization of W1^T.  Every
+coefficients and projects delta's coordinates on the orthonormal Q from
+the QR factorization of W1^T, where no digits of ||delta|| cancel.  Every
 other attack replays the stream from its seed once the labels are known and
 attacks chunk by chunk.
 
@@ -42,6 +43,7 @@ pass), with the ReLU subgradient fixed to 0 at the kink.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,15 +90,11 @@ class TwoLayerNet:
         return self.W1.shape[1]
 
     def param_l2(self) -> float:
-        return _param_l2(self, np.sum(self.W1**2))
+        sq = np.sum(self.W1**2) + np.sum(self.b1**2) + np.sum(self.w2**2)
+        return math.sqrt(float(sq) + self.b2**2)
 
     def copy(self) -> "TwoLayerNet":
         return TwoLayerNet(self.W1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2))
-
-
-def _param_l2(net: TwoLayerNet, w1_sq: float) -> float:
-    """``param_l2`` of net with ||W1||_F^2 given as w1_sq."""
-    return math.sqrt(float(w1_sq + np.sum(net.b1**2) + np.sum(net.w2**2)) + net.b2**2)
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,8 @@ class PgdConfig:
     steps: int = 10
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
 
@@ -130,6 +130,7 @@ def init_network(d: int, h: int = 32, seed: int = 0) -> TwoLayerNet:
 def forward(net: TwoLayerNet, x: np.ndarray) -> float | np.ndarray:
     """Score of one input (1-d x) or one score per row (2-d x)."""
     x = np.asarray(x, dtype=float)
+    _check_input_size(net, x.shape[-1])
     if x.ndim == 1:
         u = net.W1 @ x + net.b1
         return float(net.w2 @ np.maximum(u, 0.0) + net.b2)
@@ -146,6 +147,7 @@ def loss_and_gradients(
     """
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    _check_input_size(net, feats.shape[-1])
     u, scores, _ = _score_and_input_ascent(net, feats, labels, with_grad=False)
     # overflowed weights propagate as inf/nan and are caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,59 +314,6 @@ def _l2_coefficient_steps(
     return clean_margin, best_C
 
 
-def _l2_delta_in_ball(
-    D: np.ndarray,
-    Rt: np.ndarray,
-    u0: np.ndarray,
-    clean_margin: np.ndarray,
-    labels: np.ndarray,
-    net: TwoLayerNet,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best l2 attack's deltas, rescaled onto the eps-ball and scored.
-
-    D holds one delta per row in coordinates on an orthonormal basis Q, so
-    each delta's norm is its row's norm in D; Rt = Q^T W1^T maps those
-    coordinates to the change of the pre-activations, whose clean values are
-    u0.  Each row is scaled by eps / max(||d||, eps), and a row whose
-    attacked margin is not below its clean one keeps delta = 0.  Returns D
-    (rescaled in place), the kept margins and the pre-activations at the kept
-    points.
-    """
-    nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
-    D *= (eps / np.maximum(nrm, eps))[:, None]
-    u = u0 + D @ Rt
-    margin = _margins(u, labels, net)
-    stayed = ~(margin < clean_margin)
-    D[stayed] = 0.0
-    u[stayed] = u0[stayed]
-    return D, np.where(stayed, clean_margin, margin), u
-
-
-def _pgd_l2_coordinates(
-    R: np.ndarray, E: np.ndarray, net: TwoLayerNet, labels: np.ndarray, cfg: PgdConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The l2 attack of a net whose first layer has coordinates R = W1 Q on
-    an orthonormal basis Q, on samples with coordinates E = X Q; net supplies
-    b1, w2 and b2.
-
-    Returns the attacked rows' coordinates E + D, the clean and attacked
-    margins, the attacked pre-activations and K = W1 W1^T.  K is R R^T, the
-    clean pre-activations are E R^T + b1, the coefficient loop runs as in
-    ``_pgd_l2_row_space``, delta has coordinates D = s best_C R with s read
-    from ||D|| (``_l2_delta_in_ball``), and the attacked pre-activations are
-    u0 + D R^T.
-    """
-    eps = cfg.model.epsilon
-    K = R @ R.T
-    u0 = E @ R.T + net.b1
-    clean_margin, best_C = _l2_coefficient_steps(
-        K, u0, labels, net, eps, cfg.steps, cfg.effective_step()
-    )
-    D, margin, u = _l2_delta_in_ball(best_C @ R, R.T, u0, clean_margin, labels, net, eps)
-    return E + D, clean_margin, margin, u, K
-
-
 def _check_input_size(net: TwoLayerNet, d: int) -> None:
     if d != net.d:
         raise ValueError(f"the network takes d={net.d} inputs, the data has d={d}")
@@ -374,9 +323,11 @@ def pgd_attack(net: TwoLayerNet, x: np.ndarray, y: int, cfg: PgdConfig) -> np.nd
     """Adversarial example for one input; the best iterate the attack saw."""
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    feats = np.asarray(x, dtype=float)[None, :]
-    _check_input_size(net, feats.shape[-1])
-    return _pgd_attack_batch(net, feats, np.array([float(y)]), cfg)[0][0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one input, a 1-d array; got shape {x.shape}")
+    _check_input_size(net, x.size)
+    return _pgd_attack_batch(net, x[None, :], np.array([float(y)]), cfg)[0][0]
 
 
 @dataclass
@@ -408,13 +359,16 @@ def adv_train_nn(
     the t-th update, evaluated on that epoch's attacked batch; entry 0 is
     the initial network.  Raises on non-finite loss like the linear trainer.
 
-    At p = 2 with eps > 0 and steps > 0 the epochs run in coordinates on an
-    orthonormal basis Q of the span of the rows of [W1_0; X]
-    (``_pgd_l2_coordinates``): the gradient dU^T x_adv is dU^T (E + D) there,
-    and W1 = W1_0 + (R - R_0) Q^T is formed once, after the loop, so lr = 0
-    returns W1_0 bit for bit.  These epochs agree with the input-space epoch
-    to rounding, about 1e-15 relative.  Every other case runs the input-space
-    epoch: ``_pgd_attack_batch`` on x, the gradient dU^T x_adv.
+    At p = 2 with eps > 0 and steps > 0 the attack moves each input along
+    W1's rows and each W1 gradient dU^T x_adv is a combination of attacked
+    inputs, so W1 and the attacked inputs stay in the span of the rows of
+    [W1_0; X].  The loop runs in a basis of that span: with Q orthonormal,
+    from one reduced QR (min(d, h + n) columns), it trains the net with
+    first layer R = W1_0 Q on the inputs E = X Q.  An orthonormal change of
+    basis keeps l2 norms, so the attack, its ball and ``param_l2`` are those
+    of the input-space epoch, to rounding (about 1e-15 relative).  W1 =
+    W1_0 + (R - R_0) Q^T is formed once, after the loop, so lr = 0 returns
+    W1_0 bit for bit.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -428,21 +382,18 @@ def adv_train_nn(
     clean, attacked = np.empty((2, epochs + 1, ds.n))
     p_l2 = np.empty(epochs + 1)
     model = pgd.model
-    coordinates = model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0
-    if coordinates:
-        Q = np.linalg.qr(np.vstack([net.W1, feats]).T)[0]
-        R0 = net.W1 @ Q
-        R = R0.copy()
-        E = feats @ Q
+    in_span = model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0
+    if in_span:
+        W1_0 = net.W1
+        Q = np.linalg.qr(np.vstack([W1_0, feats]).T)[0]
+        net.W1 = W1_0 @ Q
+        R0 = net.W1.copy()
+        feats = feats @ Q
     # overflowed weights propagate as inf/nan and are caught by the checks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
-            if coordinates:
-                rows, clean[t], attacked[t], u, K = _pgd_l2_coordinates(R, E, net, labels, pgd)
-                p_l2[t] = _param_l2(net, np.trace(K))
-            else:
-                rows, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
-                p_l2[t] = net.param_l2()
+            rows, clean[t], attacked[t], u = _pgd_attack_batch(net, feats, labels, pgd)
+            p_l2[t] = net.param_l2()
             # the log-loss is finite iff the smallest margin is (``_log_losses``)
             if not math.isfinite(attacked[t].min()):
                 raise RuntimeError(f"network training diverged at epoch {t}")
@@ -452,15 +403,13 @@ def adv_train_nn(
             if not (all(np.isfinite(g).all() for g in (grads.W1, grads.b1, grads.w2))
                     and math.isfinite(grads.b2)):
                 raise RuntimeError(f"network training diverged at epoch {t}")
-            # in coordinates, the W1 gradient dU^T x_adv is dU^T (E + D)
-            W1 = R if coordinates else net.W1
-            W1 -= lr * grads.W1
+            net.W1 -= lr * grads.W1
             net.b1 -= lr * grads.b1
             net.w2 -= lr * grads.w2
             net.b2 -= lr * grads.b2
         losses = np.exp(-attacked).sum(axis=1)
-    if coordinates:
-        net.W1 += (R - R0) @ Q.T
+    if in_span:
+        net.W1 = W1_0 + (net.W1 - R0) @ Q.T
     return net, NetTrainLog(
         h=net.h,
         losses=losses,
@@ -512,9 +461,10 @@ def _label_free_margins(
     Serves every evaluation without an attack and the l2 attack, which runs
     on row coefficients (``_l2_coefficient_steps``) with K = W1 W1^T.  The
     QR factorization W1^T = Q T gives W1 = T^T Q^T, so delta = best_C W1 has
-    coordinates best_C T^T on Q, and the attacked pre-activations are
-    u0 + s best_C T^T T (``_l2_delta_in_ball``).  Returns None for any other
-    attack.
+    coordinates D = best_C T^T on Q, where ||delta|| = ||D||: D is projected
+    onto the eps-ball and the attacked pre-activations are u0 + D T.  A row
+    whose attacked margin is not below its clean one keeps its clean margin,
+    as in ``_pgd_l2_row_space``.  Returns None for any other attack.
     """
     model = pgd.model
     attacks = model.epsilon > 0.0 and pgd.steps > 0
@@ -535,8 +485,8 @@ def _label_free_margins(
         net.W1 @ net.W1.T, u0, labels, net, eps, pgd.steps, pgd.effective_step()
     )
     T = np.linalg.qr(net.W1.T, mode="r")
-    _, margin, _ = _l2_delta_in_ball(best_C @ T.T, T, u0, clean_margin, labels, net, eps)
-    return clean_margin, margin
+    margin = _margins(u0 + project_onto_ball(best_C @ T.T, 2.0, eps) @ T, labels, net)
+    return clean_margin, np.where(margin < clean_margin, margin, clean_margin)
 
 
 def _replayed_margins(

@@ -73,8 +73,12 @@ def test_forward_batch_matches_rows():
 
 def test_forward_rejects_dimension_mismatch():
     net = init_network(d=6, h=5, seed=1)
-    with pytest.raises(ValueError):
-        forward(net, np.ones(7))
+    message = "^the network takes d=6 inputs, the data has d=7$"
+    for x in (np.ones(7), np.ones((3, 7))):
+        with pytest.raises(ValueError, match=message):
+            forward(net, x)
+    with pytest.raises(ValueError, match=message):
+        loss_and_gradients(net, np.ones((3, 7)), np.ones(3))
 
 
 # ------------------------------------------------------------------ gradients
@@ -183,6 +187,13 @@ def test_pgd_attack_rejects_an_input_of_another_size():
     cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
     with pytest.raises(ValueError, match="^the network takes d=6 inputs, the data has d=7$"):
         pgd_attack(net, np.ones(7), 1, cfg)
+
+
+def test_pgd_attack_rejects_more_than_one_input():
+    net = init_network(d=3, h=4, seed=0)
+    cfg = PgdConfig(model=PerturbationModel(2.0, 0.1), steps=3)
+    with pytest.raises(ValueError, match=r"^x must be one input, a 1-d array; got shape \(1, 3\)$"):
+        pgd_attack(net, np.ones((1, 3)), 1, cfg)
 
 
 def test_pgd_stays_inside_ball():
@@ -436,6 +447,14 @@ def test_pgd_config_rejects_negative_steps():
     assert PgdConfig(model=model, steps=0).effective_step() == pytest.approx(1.0)
 
 
+def test_pgd_config_rejects_non_integer_steps():
+    model = PerturbationModel(2.0, 0.4)
+    for steps in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps!r}$"):
+            PgdConfig(model=model, steps=steps)
+    assert PgdConfig(model=model, steps=np.int64(4)).effective_step() == pytest.approx(0.25)
+
+
 # ------------------------------------------------------------ initialization
 
 
@@ -487,7 +506,7 @@ def test_adv_train_nn_learns_a_separable_problem():
     assert not np.array_equal(net.W1, net0.W1)
 
 
-# p = 2 trains in coordinates, without an input-space attack to rescore
+# p = 2 attacks the coordinates X Q, not the inputs, so it is not rescored here
 @pytest.mark.parametrize("p", [np.inf])
 def test_adv_train_nn_log_equals_rescoring_with_forward(monkeypatch, p):
     spec = MixtureSpec(d=12, mu=mu_from_scaling(12, 0.4), eta=0.1, seed=5)
@@ -571,7 +590,7 @@ def _assert_close(got, want, rtol=1e-12):
     ids=["1-40-4", "24-60-6", "50-300-32", "l2-h<d", "l2-h>=d", "n>>d"],
 )
 def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatch, n, d, h, lr):
-    # at p = 2 W1 trains on its coordinates on an orthonormal basis of the
+    # at p = 2 the net trains in coordinates on an orthonormal basis of the
     # rows of [W1_0; X], with min(d, h + n) columns, and agrees with the
     # attack-then-gradient loop on W1 to rounding
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=n)
@@ -581,7 +600,7 @@ def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatc
     ref_net, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=40, lr=lr)
     calls = _spy_on_attack(monkeypatch)
     net, log = adv_train_nn(ds, net0, cfg, epochs=40, lr=lr)
-    assert calls == []
+    assert [c[1].shape[1] for c in calls] == [min(d, h + n)] * 41
     for block in ("W1", "b1", "w2"):
         _assert_close(getattr(net, block), getattr(ref_net, block))
     assert net.b2 == pytest.approx(ref_net.b2, rel=1e-12, abs=0.0)
@@ -600,11 +619,11 @@ def test_adv_train_nn_in_row_coordinates_matches_the_input_space_loop(monkeypatc
     [(6, 2.0, 0.1, 4), (30, 2.0, 0.1, 4), (6, np.inf, 0.1, 4), (6, 2.0, 0.0, 4), (6, 2.0, 0.1, 0)],
     ids=["l2-h+n<d", "l2-h+n=d", "linf", "eps0", "steps0"],
 )
-def test_adv_train_nn_attacks_in_input_space_unless_l2_with_h_plus_n_below_d(
+def test_adv_train_nn_attacks_in_coordinates_only_for_the_l2_attack(
     monkeypatch, h, p, eps, steps
 ):
-    # the name is from when h + n < d also routed; the l2 attack now trains
-    # in coordinates at every shape
+    # at p = 2 with an attack each epoch attacks the coordinates X Q, with
+    # min(d, h + n) columns; otherwise it attacks the inputs X
     d, n = 40, 10
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=2)
     ds = generate(spec, n)
@@ -612,7 +631,8 @@ def test_adv_train_nn_attacks_in_input_space_unless_l2_with_h_plus_n_below_d(
     calls = _spy_on_attack(monkeypatch)
     adv_train_nn(ds, init_network(d=d, h=h, seed=5), cfg, epochs=6, lr=1e-3)
     coordinates = p == 2.0 and eps > 0.0 and steps > 0
-    assert len(calls) == (0 if coordinates else 7)
+    assert [c[1].shape[1] for c in calls] == [min(d, h + n) if coordinates else d] * 7
+    assert [np.array_equal(c[1], ds.features) for c in calls] == [not coordinates] * 7
 
 
 def _nearly_cancelling_net(d, h, offset, other_w2, other_b1) -> TwoLayerNet:
@@ -633,7 +653,6 @@ def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(m
     in the ball and the errors are those of the input-space loop."""
     n, d, h, eps = 20, 60, 6, 0.2
     cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=8)
-    in_ball = network._l2_delta_in_ball
     for other_w2, other_b1 in ((0.0, -50.0), (1e-6, 0.0)):
         for offset in (1e-4, 1e-8, 1e-12):
             spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.1, seed=0)
@@ -641,22 +660,17 @@ def test_adv_train_nn_in_row_coordinates_stays_in_ball_when_rows_nearly_cancel(m
             ds.features[-1], ds.labels[-1] = ds.features[0], ds.labels[0]
             net0 = _nearly_cancelling_net(d, h, offset, other_w2, other_b1)
             Q = np.linalg.qr(np.vstack([net0.W1, ds.features]).T)[0]
-            norms = []
-
-            def spy(*args):
-                out = in_ball(*args)
-                # ||D|| is ||delta|| on an orthonormal basis; measure both
-                norms.append(np.linalg.norm(out[0], axis=1))
-                norms.append(np.linalg.norm(out[0] @ Q.T, axis=1))
-                return out
-
-            monkeypatch.setattr(network, "_l2_delta_in_ball", spy)
             calls = _spy_on_attack(monkeypatch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _, log = adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
             monkeypatch.undo()
-            assert calls == []
+            assert [c[1].shape[1] for c in calls] == [min(d, h + n)] * 31
+            norms = []
+            for _, coords, _, rows in calls:
+                # delta's norm on the orthonormal basis and in input space
+                norms.append(np.linalg.norm(rows - coords, axis=1))
+                norms.append(np.linalg.norm((rows - coords) @ Q.T, axis=1))
             assert len(norms) == 2 * 31
             assert np.max(norms) <= eps * (1 + 1e-12)
             _, ref_log = _reference_adv_train_nn(ds, net0, cfg, epochs=30, lr=1e-2)
@@ -691,7 +705,7 @@ def test_adv_train_nn_in_row_coordinates_diverges_where_the_input_space_loop_doe
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=f"^network training diverged at epoch {stop}$"):
             adv_train_nn(ds, net0, cfg, epochs=50, lr=lr)
-    assert calls == []
+    assert [c[1].shape[1] for c in calls] == [min(60, 6 + 24)] * (stop + 1)
 
 
 def test_adv_train_nn_rejects_negative_epochs():
