@@ -130,6 +130,8 @@ def init_network(d: int, h: int = 32, seed: int = 0) -> TwoLayerNet:
 def forward(net: TwoLayerNet, x: np.ndarray) -> float | np.ndarray:
     """Score of one input (1-d x) or one score per row (2-d x)."""
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must be one input or a 2-d array of rows; got shape {x.shape}")
     _check_input_size(net, x.shape[-1])
     if x.ndim == 1:
         u = net.W1 @ x + net.b1

@@ -79,6 +79,8 @@ def test_forward_rejects_dimension_mismatch():
             forward(net, x)
     with pytest.raises(ValueError, match=message):
         loss_and_gradients(net, np.ones((3, 7)), np.ones(3))
+    with pytest.raises(ValueError, match=r"^x must be one input or a 2-d array of rows; got shape"):
+        forward(net, 3.0)
 
 
 # ------------------------------------------------------------------ gradients
