@@ -2,20 +2,23 @@
 
 The score of input x is ``w2 . relu(W1 x + b1) + b2``.  No closed form
 exists for the inner maximization here, so adversarial examples come from
-projected gradient ascent (PGD) in the lp ball: at each step the input
-moves along the steepest-ascent direction of the per-sample loss in lp
-geometry (the dual-norm subgradient of the input gradient) and is projected
-back onto the ball.  Every attack starts at the clean point.  Each step is
-one batched call for all rows: the steepest-ascent direction from
-``norm_subgradient_rows`` and the projection from ``project_onto_ball``.
-The l2 attack runs on row coefficients instead: its steps are combinations
-of W1's rows, so each iterate is x + C W1 with C one h-vector per input, and
-the steps and projections need only C and the h x h Gram matrix W1 W1^T.
-The attack tracks the best iterate seen, so the attacked loss never falls
-below the clean loss.  It is the only forward pass of a network point: the
-gradient of a training epoch reads its pre-activations and margins at the
-returned points, training fills its log from each epoch's kept margins
-after the loop, and evaluation reads its risks from the margins.
+projected gradient ascent (PGD) in the lp ball: at each step the
+perturbation moves along the steepest-ascent direction of the per-sample
+loss in lp geometry (the dual-norm subgradient of the input gradient) and
+is projected back onto the ball.  Every attack starts at the clean point,
+so it steps the perturbation delta from 0 and reads the pre-activations as
+u0 + delta W1^T from the clean ones u0 = x W1^T + b1: no attack needs the
+inputs.  Each step is one batched call for all rows: the steepest-ascent
+direction from ``norm_subgradient_rows`` and the projection from
+``project_onto_ball``.  The l2 attack runs on row coefficients instead: its
+steps are combinations of W1's rows, so delta = C W1 with C one h-vector per
+input, and the steps and projections need only C and the h x h Gram matrix
+W1 W1^T.  The attack tracks the best iterate seen, so the attacked loss
+never falls below the clean loss.  It is the only forward pass of a network
+point: the gradient of a training epoch reads its pre-activations and
+margins at the returned points, training fills its log from each epoch's
+kept margins after the loop, and evaluation reads its risks from the
+margins.
 
 Training runs one epoch for every norm: the attack, then the gradient at
 the returned points, then the update.  At p = 2 the attack never leaves the
@@ -26,15 +29,13 @@ orthonormal Q of that span with min(d, h + n) columns (one reduced QR): the
 net W1 Q trains on the inputs X Q, and W1 is formed once, after the loop.
 An orthonormal change of basis keeps l2 norms, so the ball is the same.
 
-Evaluation streams its samples (``risk._stream_eval_rows``) and never forms
-the m x d feature block: it keeps the m-vectors of margins, at most a few
-m x h arrays and one stream chunk.  The stream draws the labels after all
-the noise.  The l2 attack needs them only after the clean pre-activations
-x W1^T + b1, so it keeps those from one pass, runs on their row
-coefficients and projects delta's coordinates on the orthonormal Q from
-the QR factorization of W1^T, where no digits of ||delta|| cancel.  Every
-other attack replays the stream from its seed once the labels are known and
-attacks chunk by chunk.
+Evaluation streams its samples (``risk._stream_eval_rows``) once and never
+forms the m x d feature block: it keeps the clean pre-activations
+x W1^T + b1 and the labels, which the stream draws after all the noise, and
+attacks once both are known.  It keeps the m-vectors of margins, at most a
+few m x h arrays, one stream chunk and, at p != 2, a few row chunks of
+delta.  The l2 attack projects delta's coordinates on the orthonormal Q
+from the QR factorization of W1^T, where no digits of ||delta|| cancel.
 
 Gradients are computed by hand (the backward pass mirrors the forward
 pass), with the ReLU subgradient fixed to 0 at the kink.
@@ -56,7 +57,7 @@ from .norms import (
     norm_subgradient_rows,
     project_onto_ball,
 )
-from .risk import RiskReport, _stream_eval_rows
+from .risk import _CHUNK_FLOATS, RiskReport, _stream_eval_rows
 from .training import _log_losses
 
 __all__ = [
@@ -150,10 +151,12 @@ def loss_and_gradients(
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _check_input_size(net, feats.shape[-1])
-    u, scores, _ = _score_and_input_ascent(net, feats, labels, with_grad=False)
+    if labels.shape != feats.shape[:1]:
+        raise ValueError(f"the data has {feats.shape[0]} rows and {labels.size} labels")
+    u = feats @ net.W1.T + net.b1
     # overflowed weights propagate as inf/nan and are caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        return _backward(net, feats, labels, u, labels * scores)
+        return _backward(net, feats, labels, u, _margins(u, labels, net))
 
 
 def _backward(
@@ -179,100 +182,83 @@ def _margins(u: np.ndarray, labels: np.ndarray, net: TwoLayerNet) -> np.ndarray:
     return labels * (np.maximum(u, 0.0) @ net.w2 + net.b2)
 
 
-def _score_and_input_ascent(
-    net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, with_grad: bool = True
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Pre-activations, scores and (optionally) the per-row input gradient of -y*score.
-
-    -y*score increases monotonically with the per-sample loss exp(-y*score),
-    so its gradient gives the loss-ascent direction without the overflowing
-    exponential factor.
-    """
-    u = feats @ net.W1.T + net.b1
-    scores = np.maximum(u, 0.0) @ net.w2 + net.b2
-    if not with_grad:
-        return u, scores, None
-    ds_dx = ((u > 0.0) * net.w2[None, :]) @ net.W1
-    return u, scores, (-labels)[:, None] * ds_dx
+def _attacks(cfg: PgdConfig) -> bool:
+    """Whether cfg attacks at all: a nonzero budget and at least one step."""
+    return cfg.model.epsilon > 0.0 and cfg.steps > 0
 
 
 def _pgd_attack_batch(
     net: TwoLayerNet, feats: np.ndarray, labels: np.ndarray, cfg: PgdConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized PGD over all rows: the best-seen iterates, the clean margins
-    y * f(x) from the attack's first pass, y * f at the returned iterates and
-    their pre-activations x W1^T + b1.
+    y * f(x), y * f at the returned iterates and their pre-activations
+    x W1^T + b1.
 
-    The l2 attack (p = 2, a nonzero budget) runs on the n x h row
-    coefficients of ``_pgd_l2_row_space``; every other attack runs the loop
-    below on the n x d iterates.
-    """
-    model = cfg.model
-    eps = model.epsilon
-    attacks = eps > 0.0 and cfg.steps > 0
-    if attacks and model.p == 2.0:
-        return _pgd_l2_row_space(net, feats, labels, eps, cfg.steps, cfg.effective_step())
-    u, scores, grad = _score_and_input_ascent(net, feats, labels, with_grad=attacks)
-    clean_margin = labels * scores
-    if not attacks:
-        return feats.copy(), clean_margin, clean_margin, u
-    p = model.p
-    q = dual_exponent(p)
-    step = cfg.effective_step()
-
-    cur = feats
-    best = feats.copy()
-    best_margin = clean_margin
-    for k in range(cfg.steps):
-        cand = cur + step * norm_subgradient_rows(grad, q)
-        cur = feats + project_onto_ball(cand - feats, p, eps)
-        # the last iterate is only scored: no step reads its gradient
-        _, scores, grad = _score_and_input_ascent(net, cur, labels, with_grad=k < cfg.steps - 1)
-        margin = labels * scores
-        better = margin < best_margin
-        best_margin = np.where(better, margin, best_margin)
-        best[better] = cur[better]
-    return best, clean_margin, best_margin, best @ net.W1.T + net.b1
-
-
-def _pgd_l2_row_space(
-    net: TwoLayerNet,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    eps: float,
-    steps: int,
-    step: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The l2 attack, run on row coefficients (``_l2_coefficient_steps``).
-
-    The best coefficients are turned into inputs once, projected onto the
-    ball in input space and rescored as ``forward`` scores them, and a row
-    whose rescored margin is not below its clean one returns the clean
-    point.  The projection matters only where A W1 nearly cancels (W1 rows
-    nearly parallel, with w2 weights of opposite sign): there a K a^T loses
-    its digits to rounding, and the coefficient norms no longer bound the
-    step or the iterate.
+    The attack steps on the perturbation delta from the clean
+    pre-activations u0 = x W1^T + b1: the l2 attack on its row coefficients
+    (``_l2_coefficient_steps``), every other one on delta itself
+    (``_dense_steps``).  The best delta is added to the inputs once, at the
+    end (the l2 one after one more projection onto the ball), and the sums
+    are rescored as ``forward`` scores them; a row whose rescored margin is
+    not below its clean one returns the clean point.  The l2 projection
+    matters only where A W1 nearly cancels (W1 rows nearly parallel, with w2
+    weights of opposite sign): there a K a^T loses its digits to rounding,
+    and the coefficient norms no longer bound the step or the iterate.
     """
     W1 = net.W1
     u0 = feats @ W1.T + net.b1
-    clean_margin, best_C = _l2_coefficient_steps(W1 @ W1.T, u0, labels, net, eps, steps, step)
-    best = feats + project_onto_ball(best_C @ W1, 2.0, eps)
-    u, scores, _ = _score_and_input_ascent(net, best, labels, with_grad=False)
-    margin = labels * scores
+    if not _attacks(cfg):
+        clean_margin = _margins(u0, labels, net)
+        return feats.copy(), clean_margin, clean_margin, u0
+    eps = cfg.model.epsilon
+    if cfg.model.p == 2.0:
+        clean_margin, best_C = _l2_coefficient_steps(net, u0, labels, cfg)
+        delta = project_onto_ball(best_C @ W1, 2.0, eps)
+    else:
+        clean_margin, _, delta = _dense_steps(net, u0, labels, cfg)
+    best = feats + delta
+    u = best @ W1.T + net.b1
+    margin = _margins(u, labels, net)
     stayed = ~(margin < clean_margin)
     best[stayed] = feats[stayed]
     u[stayed] = u0[stayed]
     return best, clean_margin, np.where(stayed, clean_margin, margin), u
 
 
+def _dense_steps(
+    net: TwoLayerNet, u0: np.ndarray, labels: np.ndarray, cfg: PgdConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clean margins, the best-seen margins and the best-seen n x d
+    perturbations of the attack at p != 2.
+
+    The input gradient of -y*score is A W1 with A = -y * (mask * w2), so a
+    step moves delta along its dual-norm subgradient, projects delta onto
+    the ball and reads the pre-activations as u0 + delta W1^T: the inputs
+    are never formed.  b1 enters only through u0.
+    """
+    p, eps = cfg.model.p, cfg.model.epsilon
+    q = dual_exponent(p)
+    step = cfg.effective_step()
+    W1 = net.W1
+    clean_margin = _margins(u0, labels, net)
+    neg_yw2 = (-labels)[:, None] * net.w2
+    delta = np.zeros((u0.shape[0], W1.shape[1]))
+    best_delta = np.zeros_like(delta)
+    best_margin = clean_margin
+    u = u0
+    for _ in range(cfg.steps):
+        ascent = norm_subgradient_rows(((u > 0.0) * neg_yw2) @ W1, q)
+        delta = project_onto_ball(delta + step * ascent, p, eps)
+        u = u0 + delta @ W1.T
+        margin = _margins(u, labels, net)
+        better = margin < best_margin
+        best_margin = np.where(better, margin, best_margin)
+        np.copyto(best_delta, delta, where=better[:, None])
+    return clean_margin, best_margin, best_delta
+
+
 def _l2_coefficient_steps(
-    K: np.ndarray,
-    u0: np.ndarray,
-    labels: np.ndarray,
-    net: TwoLayerNet,
-    eps: float,
-    steps: int,
-    step: float,
+    net: TwoLayerNet, u0: np.ndarray, labels: np.ndarray, cfg: PgdConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The clean margins and the best-seen n x h coefficients of the l2 attack.
 
@@ -283,8 +269,10 @@ def _l2_coefficient_steps(
     row and the projection rescales C by eps / max(sqrt(c K c^T), eps); C K
     is carried along with C, as the right half of one n x 2h array [C | C K]
     that a step updates with [A | A K], so a step costs O(n h^2) instead of
-    O(n h d).  Only b1's effect, through u0, and w2 and b2 are read from net.
+    O(n h d).  b1 enters only through u0.
     """
+    eps, step = cfg.model.epsilon, cfg.effective_step()
+    K = net.W1 @ net.W1.T
     w2 = net.w2
     h = w2.size
     clean_margin = _margins(u0, labels, net)
@@ -297,7 +285,7 @@ def _l2_coefficient_steps(
     best_C = np.zeros_like(C)
     best_margin = clean_margin
     u = u0
-    for _ in range(steps):
+    for _ in range(cfg.steps):
         np.multiply(u > 0.0, neg_yw2, out=A)
         np.matmul(A, K, out=AK)
         sq = np.einsum("ij,ij->i", A, AK)
@@ -383,8 +371,7 @@ def adv_train_nn(
     # each epoch's clean and attacked margins; the log is filled from them
     clean, attacked = np.empty((2, epochs + 1, ds.n))
     p_l2 = np.empty(epochs + 1)
-    model = pgd.model
-    in_span = model.p == 2.0 and model.epsilon > 0.0 and pgd.steps > 0
+    in_span = pgd.model.p == 2.0 and _attacks(pgd)
     if in_span:
         W1_0 = net.W1
         Q = np.linalg.qr(np.vstack([W1_0, feats]).T)[0]
@@ -434,75 +421,49 @@ def evaluate_nn_risks(
     PGD only lower-bounds the true worst case, so the adversarial figure is
     a certified lower bound on the adversarial risk.  The samples are those
     of one m x d block draw (``risk`` module docstring), streamed in chunks
-    and never gathered (module docstring), so memory is O(m h) floats plus
-    one chunk of about 512 KB.  BLAS may round a chunk's products
-    differently from the block's attack, and the l2 rescale is read from
-    delta's coordinates on an orthonormal basis of W1's rows rather than
-    from the input-space delta, so a margin may differ from the block's in
-    its last bits (about 1e-15 relative); an estimate changes only through a
-    margin that close to 0.
+    and never gathered: one pass keeps their clean pre-activations
+    u0 = x W1^T + b1 and their labels, and the attack runs on u0 (module
+    docstring).  Memory is O(m h) floats plus one stream chunk and, for an
+    attack at p != 2, a few row chunks of delta of about 512 KB each.
+
+    The l2 attack runs on row coefficients (``_l2_coefficient_steps``) with
+    K = W1 W1^T.  The QR factorization W1^T = Q T gives W1 = T^T Q^T, so
+    delta = best_C W1 has coordinates D = best_C T^T on Q, where ||delta|| =
+    ||D||: D is projected onto the eps-ball and the attacked pre-activations
+    are u0 + D T.  A row whose attacked margin is not below its clean one
+    keeps its clean margin, as in ``_pgd_attack_batch``.  Every other attack
+    runs ``_dense_steps`` on row chunks of u0 and keeps its best margins.
+    BLAS may round a chunk's products differently from the block's attack,
+    and neither ending rescores x + delta, so a margin may differ from the
+    block's in its last bits (about 1e-15 relative); an estimate changes
+    only through a margin that close to 0.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     _check_input_size(net, spec.d)
-    eval_seed = spec.seed if seed is None else seed
-    margins = _label_free_margins(net, spec, pgd, m, eval_seed)
-    if margins is None:
-        margins = _replayed_margins(net, spec, pgd, m, eval_seed)
-    clean, attacked = margins
-    return RiskReport.monte_carlo(
-        float(np.mean(clean < 0.0)), float(np.mean(attacked < 0.0)), m
-    )
-
-
-def _label_free_margins(
-    net: TwoLayerNet, spec: MixtureSpec, pgd: PgdConfig, m: int, seed: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Clean and attacked margins from one pass that keeps only x W1^T + b1.
-
-    Serves every evaluation without an attack and the l2 attack, which runs
-    on row coefficients (``_l2_coefficient_steps``) with K = W1 W1^T.  The
-    QR factorization W1^T = Q T gives W1 = T^T Q^T, so delta = best_C W1 has
-    coordinates D = best_C T^T on Q, where ||delta|| = ||D||: D is projected
-    onto the eps-ball and the attacked pre-activations are u0 + D T.  A row
-    whose attacked margin is not below its clean one keeps its clean margin,
-    as in ``_pgd_l2_row_space``.  Returns None for any other attack.
-    """
-    model = pgd.model
-    attacks = model.epsilon > 0.0 and pgd.steps > 0
-    if attacks and model.p != 2.0:
-        return None
+    W1 = net.W1
     u0 = np.empty((m, net.h))
 
     def pre_activations(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
-        np.matmul(clean[:, None] * spec.mu + xi, net.W1.T, out=u0[rows])
+        np.matmul(clean[:, None] * spec.mu + xi, W1.T, out=u0[rows])
 
-    labels = _stream_eval_rows(spec, m, seed, pre_activations).astype(float)
+    eval_seed = spec.seed if seed is None else seed
+    labels = _stream_eval_rows(spec, m, eval_seed, pre_activations).astype(float)
     u0 += net.b1
-    if not attacks:
-        clean_margin = _margins(u0, labels, net)
-        return clean_margin, clean_margin
-    eps = model.epsilon
-    clean_margin, best_C = _l2_coefficient_steps(
-        net.W1 @ net.W1.T, u0, labels, net, eps, pgd.steps, pgd.effective_step()
+    eps = pgd.model.epsilon
+    if not _attacks(pgd):
+        clean_margin = attacked = _margins(u0, labels, net)
+    elif pgd.model.p == 2.0:
+        clean_margin, best_C = _l2_coefficient_steps(net, u0, labels, pgd)
+        T = np.linalg.qr(W1.T, mode="r")
+        margin = _margins(u0 + project_onto_ball(best_C @ T.T, 2.0, eps) @ T, labels, net)
+        attacked = np.where(margin < clean_margin, margin, clean_margin)
+    else:
+        clean_margin, attacked = np.empty((2, m))
+        step = max(1, _CHUNK_FLOATS // net.d)
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            clean_margin[rows], attacked[rows], _ = _dense_steps(net, u0[rows], labels[rows], pgd)
+    return RiskReport.monte_carlo(
+        float(np.mean(clean_margin < 0.0)), float(np.mean(attacked < 0.0)), m
     )
-    T = np.linalg.qr(net.W1.T, mode="r")
-    margin = _margins(u0 + project_onto_ball(best_C @ T.T, 2.0, eps) @ T, labels, net)
-    return clean_margin, np.where(margin < clean_margin, margin, clean_margin)
-
-
-def _replayed_margins(
-    net: TwoLayerNet, spec: MixtureSpec, pgd: PgdConfig, m: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clean and attacked margins from two passes over the stream: the first
-    draws the samples only to reach the labels, the second draws them again
-    from the same seed and attacks each chunk with ``_pgd_attack_batch``."""
-    labels = _stream_eval_rows(spec, m, seed, lambda rows, clean, xi: None).astype(float)
-    clean_margin, attacked = np.empty((2, m))
-
-    def attack(rows: slice, clean: np.ndarray, xi: np.ndarray) -> None:
-        feats = clean[:, None] * spec.mu + xi
-        _, clean_margin[rows], attacked[rows], _ = _pgd_attack_batch(net, feats, labels[rows], pgd)
-
-    _stream_eval_rows(spec, m, seed, attack)
-    return clean_margin, attacked

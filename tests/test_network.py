@@ -18,7 +18,13 @@ from advlab.network import (
     loss_and_gradients,
     pgd_attack,
 )
-from advlab.norms import PerturbationModel, lp_norm, norm_subgradient_rows, project_onto_ball
+from advlab.norms import (
+    PerturbationModel,
+    dual_exponent,
+    lp_norm,
+    norm_subgradient_rows,
+    project_onto_ball,
+)
 from advlab.risk import _CHUNK_FLOATS
 from oracles import _block_nn_evaluation, _log_exp_loss
 
@@ -84,6 +90,12 @@ def test_forward_rejects_dimension_mismatch():
 
 
 # ------------------------------------------------------------------ gradients
+
+
+def test_loss_and_gradients_rejects_labels_of_another_length():
+    net = init_network(d=6, h=5, seed=1)
+    with pytest.raises(ValueError, match="^the data has 4 rows and 3 labels$"):
+        loss_and_gradients(net, np.ones((4, 6)), np.ones(3))
 
 
 def test_zero_network_loss_and_gradients():
@@ -277,8 +289,9 @@ def test_pgd_batch_without_budget_returns_clean_margins_twice():
         np.testing.assert_array_equal(u, feats @ net.W1.T + net.b1)
 
 
-def _dense_l2_attack(net, feats, labels, eps, steps):
-    """Reference: the l2 attack from the clean point, stepped on the n x d iterates."""
+def _dense_attack(net, feats, labels, p, eps, steps):
+    """Reference: the attack from the clean point, stepped on the n x d iterates."""
+    q = dual_exponent(p)
     step = 2.5 * eps / steps
 
     def score(x):
@@ -289,8 +302,8 @@ def _dense_l2_attack(net, feats, labels, eps, steps):
     best_margin, grad = score(feats)
     best, cur = feats.copy(), feats
     for _ in range(steps):
-        cand = cur + step * norm_subgradient_rows(grad, 2.0)
-        cur = feats + project_onto_ball(cand - feats, 2.0, eps)
+        cand = cur + step * norm_subgradient_rows(grad, q)
+        cur = feats + project_onto_ball(cand - feats, p, eps)
         margin, grad = score(cur)
         better = margin < best_margin
         best_margin = np.where(better, margin, best_margin)
@@ -298,10 +311,10 @@ def _dense_l2_attack(net, feats, labels, eps, steps):
     return best
 
 
-def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8):
-    cfg = PgdConfig(model=PerturbationModel(2.0, eps), steps=steps)
+def _assert_row_space_attack_matches_dense(net, feats, labels, p=2.0, eps=0.3, steps=8):
+    cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
     best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
-    ref = _dense_l2_attack(net, feats, labels, eps, steps)
+    ref = _dense_attack(net, feats, labels, p, eps, steps)
     assert np.all(np.isfinite(best))
     gap = np.linalg.norm(best - ref, axis=1)
     assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=1))
@@ -309,19 +322,25 @@ def _assert_row_space_attack_matches_dense(net, feats, labels, eps=0.3, steps=8)
     np.testing.assert_array_equal(adv, labels * forward(net, best))
     np.testing.assert_array_equal(u, best @ net.W1.T + net.b1)
     assert np.all(adv <= clean)
-    assert np.all(np.linalg.norm(best - feats, axis=1) <= eps * (1 + 1e-12))
+    assert np.all(np.linalg.norm(best - feats, ord=p, axis=1) <= eps * (1 + 1e-12))
     return adv, clean
 
 
-@pytest.mark.parametrize("n", [1, 50])
-def test_pgd_l2_row_space_matches_dense_attack(n):
-    """The l2 attack runs on row coefficients and agrees with stepping x."""
+# the l2 attack runs on row coefficients, every other one on delta from the
+# clean pre-activations; each agrees with stepping x (the ids of the l2
+# cases keep their names from before the other norms were added)
+@pytest.mark.parametrize(
+    "p, n",
+    [(2.0, 1), (2.0, 50), (np.inf, 1), (np.inf, 50), (1.0, 1), (1.0, 50), (3.0, 1), (3.0, 50)],
+    ids=["1", "50", "inf-1", "inf-50", "1.0-1", "1.0-50", "3.0-1", "3.0-50"],
+)
+def test_pgd_l2_row_space_matches_dense_attack(p, n):
     rng = np.random.default_rng(14)
     net = init_network(d=30, h=8, seed=6)
     net.b1 = rng.normal(size=8) * 0.1
     feats = rng.normal(size=(n, 30))
     labels = rng.choice([-1.0, 1.0], size=n)
-    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels)
+    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels, p)
     assert np.any(adv < clean)
 
 
@@ -773,7 +792,7 @@ def test_evaluate_nn_risks_equal_the_whole_block_evaluation(p, dist):
 
 
 @pytest.mark.parametrize(
-    "p, eps, steps, replays",
+    "p, eps, steps, dense",
     [
         (2.0, 0.2, 3, False),
         (2.0, 0.0, 3, False),
@@ -784,22 +803,35 @@ def test_evaluate_nn_risks_equal_the_whole_block_evaluation(p, dist):
     ids=["l2", "l2-eps0", "linf-eps0", "l1-steps0", "linf"],
 )
 def test_evaluate_nn_risks_attacks_stream_chunks_only_for_dense_attacks(
-    monkeypatch, p, eps, steps, replays
+    monkeypatch, p, eps, steps, dense
 ):
+    # every evaluation draws the stream once and attacks the clean
+    # pre-activations; the dense attack runs on row chunks of about 512 KB
+    # of delta, the l2 attack on all rows at once
     d, m = 300, 659
     chunk = _CHUNK_FLOATS // d
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.4), eta=0.2, seed=2)
     net = init_network(d=d, h=4, seed=0)
     cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
-    want, feats, labels = _block_nn_evaluation(net, spec, cfg, m, 7)
+    want, _, _ = _block_nn_evaluation(net, spec, cfg, m, 7)
+    streams, dense_rows = [], []
+    stream, dense_steps = network._stream_eval_rows, network._dense_steps
+
+    def stream_spy(*args):
+        streams.append(args[1])
+        return stream(*args)
+
+    def dense_spy(net, u0, labels, cfg):
+        dense_rows.append(len(u0))
+        return dense_steps(net, u0, labels, cfg)
+
+    monkeypatch.setattr(network, "_stream_eval_rows", stream_spy)
+    monkeypatch.setattr(network, "_dense_steps", dense_spy)
     calls = _spy_on_attack(monkeypatch)
     assert evaluate_nn_risks(net, spec, cfg, m=m, seed=7) == want
-    if not replays:
-        assert calls == []
-        return
-    assert [len(c[1]) for c in calls] == [min(chunk, m - lo) for lo in range(0, m, chunk)]
-    np.testing.assert_array_equal(np.concatenate([c[1] for c in calls]), feats)
-    np.testing.assert_array_equal(np.concatenate([c[2] for c in calls]), labels)
+    assert streams == [m]
+    assert calls == []
+    assert dense_rows == ([min(chunk, m - lo) for lo in range(0, m, chunk)] if dense else [])
 
 
 def test_evaluate_nn_risks_stays_on_one_pass_when_rows_nearly_cancel(monkeypatch):

@@ -307,8 +307,8 @@ def test_mc_risk_memory_does_not_grow_with_m_times_d():
 @pytest.mark.parametrize("p", [2.0, np.inf])
 def test_nn_evaluation_memory_does_not_grow_with_m_times_d(p):
     # the block alone would take m*d*8 = 153 and 610 MiB; the evaluation keeps
-    # m-vectors, a few m x h arrays and one stream chunk.  Rademacher noise
-    # draws fastest, and p = inf draws the stream twice.
+    # m-vectors, a few m x h arrays and one stream chunk, and p = inf a few
+    # row chunks of delta of about 512 KB each.  Rademacher noise draws fastest.
     m, h = 20_000, 8
     pgd = network.PgdConfig(model=PerturbationModel(p, 0.1), steps=1)
     peaks = []
