@@ -150,7 +150,9 @@ def loss_and_gradients(
     """
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    _check_input_size(net, feats.shape[-1])
+    if feats.ndim != 2:
+        raise ValueError(f"feats must be a 2-d array of rows; got shape {feats.shape}")
+    _check_input_size(net, feats.shape[1])
     if labels.shape != feats.shape[:1]:
         raise ValueError(f"the data has {feats.shape[0]} rows and {labels.size} labels")
     u = feats @ net.W1.T + net.b1

@@ -96,6 +96,8 @@ def test_loss_and_gradients_rejects_labels_of_another_length():
     net = init_network(d=6, h=5, seed=1)
     with pytest.raises(ValueError, match="^the data has 4 rows and 3 labels$"):
         loss_and_gradients(net, np.ones((4, 6)), np.ones(3))
+    with pytest.raises(ValueError, match=r"^feats must be a 2-d array of rows; got shape \(6,\)$"):
+        loss_and_gradients(net, np.ones(6), np.ones(1))
 
 
 def test_zero_network_loss_and_gradients():
