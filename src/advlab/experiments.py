@@ -291,13 +291,15 @@ def _linear_rows(
     if cfg.margins and not solve_adv:
         shared["margin_adv"] = rec.adv_margin
 
+    # each snapshot's theta is formed once: a row-space record forms it on read
+    thetas = rec.thetas
     if cfg.eval == "monte_carlo":
-        nonzero = [theta for theta in rec.thetas if np.any(theta)]
+        thetas = list(thetas)
+        nonzero = [theta for theta in thetas if np.any(theta)]
         mc_risks = iter(_eval_margin_risks(nonzero, spec, cfg.mc_samples, seed, model))
 
     rows = []
-    for i, t in enumerate(rec.snapshot_ts):
-        theta = rec.thetas[i]
+    for i, (t, theta) in enumerate(zip(rec.snapshot_ts, thetas)):
         if not np.any(theta):
             std = adv = math.nan
             method = cfg.eval

@@ -14,21 +14,24 @@ with g a subgradient of the q-norm.  Training runs plain full-batch descent
 from the zero vector (or a supplied start) and aborts with the partial
 record attached if the loss or gradient leaves the representable range.
 The loop keeps only what each iterate yields: its margins, in a (T+1) x n
-array, the loss, ||theta||_q (and ||theta||_2 off q = 2), mu.theta, and theta
-itself at snapshots on a stride.  The log-losses, margin spreads, alignments
-and train errors are computed from these once, after the loop.  The margin
-array is bounded by the configuration: 0.8 MB at n = 50, T = 2000.
+array, the loss, ||theta||_q (and ||theta||_2 off q = 2), mu.theta, and the
+iterate it descends on at snapshots on a stride.  The log-losses, margin
+spreads, alignments and train errors are computed from these once, after the
+loop, and theta is formed from a snapshot's iterate when the record is read.
+The margin array is bounded by the configuration: 0.8 MB at n = 50, T = 2000.
 
 Row space at q = 2: there g(theta) = theta/||theta||_2, so every step adds a
 combination of the rows z_k and rescales theta, and from the zero start
 theta stays in the span of the z_k.  When eps > 0 and n < d, the trainer
 writes theta = Z^T c and descends on c in R^n with the n x n Gram matrix
 Z Z^T: margins, ||theta||_2, mu.theta and the step all cost O(n^2) rather
-than O(n d), and theta is formed only at snapshots.  The loop, the record
-and the divergence checks are the same on both paths; only the kernel
-differs.  The values agree with descent on theta to rounding (about 1e-15
-relative).  Every other case (a supplied start, eps = 0, q != 2, n >= d)
-descends on theta itself.
+than O(n d).  The record keeps c, so its snapshots take O(snapshots * n)
+floats, and theta = c @ Z is formed each time a snapshot is read.  The loop,
+the record and the divergence checks are the same on both paths; only the
+kernel and the map from iterate to theta differ.  The values agree with
+descent on theta to rounding (about 1e-15 relative).  Every other case (a
+supplied start, eps = 0, q != 2, n >= d) descends on theta itself and keeps
+theta at snapshots, O(snapshots * d), which has no smaller form there.
 
 Step modes: "constant" uses a fixed step; "scheduled" uses a conservative
 schedule derived from smoothness bounds, with a large first step 1/(G*d*n)
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -114,15 +118,43 @@ class TrainingDiverged(RuntimeError):
         self.iteration = iteration
 
 
+class _Snapshots(Sequence):
+    """The snapshot thetas of a record, formed from the stored iterates on read.
+
+    With ``rows`` = Z the iterates are row-space coefficients c, and each
+    read forms theta = c @ Z afresh; with ``rows`` None they are theta
+    itself, returned as stored.
+    """
+
+    def __init__(self, iterates: list[np.ndarray], rows: Optional[np.ndarray]):
+        self._iterates = iterates
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._iterates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        x = self._iterates[i]
+        if self._rows is None:
+            return x
+        with np.errstate(over="ignore", invalid="ignore"):  # the c of a diverged run
+            return x @ self._rows
+
+
 @dataclass
 class TrainRecord:
-    """Trajectory data: scalars at every iterate, full state on a stride.
+    """Trajectory data: scalars at every iterate, the iterate on a stride.
 
     Arrays indexed by t = 0..T hold values at theta_t, so ``losses`` has
     length T + 1 and losses[0] equals n for the zero start.  ``alphas[m]``
     is the step applied to the gradient at theta_m.  ``snapshot_ts`` lists
-    the iterations with stored parameter vectors, per-sample margins (row i
-    of ``per_sample_margins`` for snapshot i), and train errors.
+    the iterations with stored iterates, per-sample margins (row i of
+    ``per_sample_margins`` for snapshot i), and train errors.  ``thetas[i]``
+    forms snapshot i's parameter vector when read, so the record keeps
+    O(snapshots * n) floats for them on the row-space path and
+    O(snapshots * d) on the theta path.
     """
 
     config: TrainConfig
@@ -136,7 +168,7 @@ class TrainRecord:
     margin_spread: np.ndarray
     alphas: np.ndarray
     snapshot_ts: list[int]
-    thetas: list[np.ndarray]
+    thetas: Sequence[np.ndarray]
     per_sample_margins: np.ndarray
     train_errors: np.ndarray
     adv_train_errors: np.ndarray
@@ -189,7 +221,7 @@ def _worst_case(
 
 
 def _row_space_worst_case(
-    c: np.ndarray, gram: np.ndarray, eps: float, to_theta, with_grad: bool = True
+    c: np.ndarray, gram: np.ndarray, eps: float, z: np.ndarray, with_grad: bool = True
 ) -> tuple[np.ndarray, float, float, Optional[np.ndarray]]:
     """``_worst_case`` at q = 2, eps > 0 for theta = Z^T c, from gram = Z Z^T.
 
@@ -201,7 +233,7 @@ def _row_space_worst_case(
     """
     margins = gram @ c
     sq = float(c @ margins)
-    pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(to_theta(c), 2.0)
+    pen_norm = math.sqrt(sq) if _SUMSQ_MIN < sq < math.inf else lp_norm(c @ z, 2.0)
     w = np.exp(eps * pen_norm - margins)
     loss = float(w.sum())
     grad = None
@@ -300,16 +332,14 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     # coefficients c with theta = Z^T c (module docstring); mu_x is mu in the
     # same coordinates, so that mu . theta = mu_x . x
     if theta0 is None and q == 2.0 and eps > 0.0 and n < d:
-        x, gram = np.zeros(n), ds.gram
+        x, gram, rows = np.zeros(n), ds.gram, z
         mu_x = None if mu is None else z @ mu
 
-        def to_theta(c: np.ndarray) -> np.ndarray:
-            return c @ z
-
         def evaluate(c: np.ndarray, with_grad: bool):
-            return _row_space_worst_case(c, gram, eps, to_theta, with_grad)
+            return _row_space_worst_case(c, gram, eps, z, with_grad)
     else:
-        x, mu_x, to_theta = theta, mu, np.copy
+        # the loop rebinds x and never writes into it, so a snapshot is x itself
+        x, mu_x, rows = theta, mu, None
 
         def evaluate(th: np.ndarray, with_grad: bool):
             return _worst_case(th, z, eps, q, with_grad)
@@ -323,7 +353,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
     dots = np.full(T + 1, np.nan)
     alphas = np.zeros(T)
     snapshot_ts: list[int] = []
-    thetas: list[np.ndarray] = []
+    iterates: list[np.ndarray] = []
 
     def make_record(t: int) -> TrainRecord:
         """The record of iterates 0..t, filled from the kept arrays."""
@@ -345,7 +375,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             margin_spread=spreads,
             alphas=alphas,
             snapshot_ts=snapshot_ts,
-            thetas=thetas,
+            thetas=_Snapshots(iterates, rows),
             per_sample_margins=snaps,
             train_errors=np.mean(snaps < 0.0, axis=1),
             adv_train_errors=np.mean(snaps - eps * theta_q[snapshot_ts, None] < 0.0, axis=1),
@@ -370,7 +400,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
                 dots[t] = mu_x @ x
             if t % cfg.record_every == 0 or t == 1 or t == T:
                 snapshot_ts.append(t)
-                thetas.append(to_theta(x))
+                iterates.append(x)
             if t == T:
                 break
             # the log-loss is finite iff the smallest margin and eps*||theta||_q

@@ -1,6 +1,7 @@
 """Tests for the worst-case exponential loss and the full-batch trainer."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,6 +441,20 @@ def test_divergence_at_the_final_iterate(path):
     assert rec.train_errors.shape == rec.adv_train_errors.shape == (2,)
 
 
+def test_reading_a_diverged_row_space_record_does_not_warn():
+    # theta_1 = c_1 @ Z overflows; the record forms it on read, and that
+    # read must be as quiet as the loop that stored c_1
+    ds = _dataset([[100.0, 0.0, 0.0], [-90.0, 10.0, 0.0]], [1.0, 1.0])
+    cfg = TrainConfig(model=PerturbationModel(2.0, 0.1), alpha=1e308, T=1)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, cfg)
+    rec = exc.value.record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thetas = list(rec.thetas)
+    assert len(thetas) == 2 and not np.all(np.isfinite(thetas[1]))
+
+
 def test_theta_l2_record_is_overflow_safe_off_q2():
     # |theta|^2 overflows near |theta| ~ 1e154; the recorded l2 norm must not
     spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.0, seed=4)
@@ -637,3 +652,37 @@ def test_row_space_norm_is_overflow_safe(scale):
     assert rec.log_losses[1] == pytest.approx(
         adversarial_log_loss(rec.thetas[1], ds, model), rel=1e-12
     )
+
+
+def test_row_space_record_keeps_coefficients_not_thetas():
+    # 201 snapshots of theta at d = 20,000 would take 201 * 160 KB = 32 MB;
+    # the record keeps each snapshot's n = 20 coefficients instead
+    d = 20_000
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=7)
+    ds = generate(spec, 20)
+    ds.signed_features, ds.gram  # the dataset's own cached arrays, made beforehand
+    cfg = TrainConfig(model=PerturbationModel(2.0, 0.1), alpha=1e-4, T=200, record_every=1)
+    tracemalloc.start()
+    try:
+        rec = train(ds, cfg)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rec.thetas) == 201
+    assert kept < 2 * 2**20, kept
+    # each read forms theta = c @ Z afresh
+    np.testing.assert_array_equal(rec.thetas[5], rec.thetas[5])
+    assert rec.thetas[5] is not rec.thetas[5]
+
+
+def test_theta_path_record_returns_the_stored_thetas():
+    # off the row space the iterate is theta itself, stored once and returned as is
+    spec = MixtureSpec(d=30, mu=mu_from_scaling(30, 0.3), eta=0.1, seed=8)
+    ds = generate(spec, 10)
+    rec = train(ds, TrainConfig(model=PerturbationModel(np.inf, 0.1), alpha=1e-3, T=20))
+    first = [theta.copy() for theta in rec.thetas]
+    for i, want in enumerate(first):
+        assert rec.thetas[i] is rec.thetas[i]
+        np.testing.assert_array_equal(rec.thetas[i], want)
+    assert rec.final_theta() is rec.thetas[-1]
+    assert all(a is b for a, b in zip(rec.thetas[:], rec.thetas))
