@@ -329,12 +329,14 @@ def _assert_row_space_attack_matches_dense(net, feats, labels, p=2.0, eps=0.3, s
 
 
 # the l2 attack runs on row coefficients, every other one on delta from the
-# clean pre-activations; each agrees with stepping x
+# clean pre-activations; each agrees with stepping x (the name and the ids of
+# the l2 cases keep their form from before the other norms were added)
 @pytest.mark.parametrize(
     "p, n",
     [(2.0, 1), (2.0, 50), (np.inf, 1), (np.inf, 50), (1.0, 1), (1.0, 50), (3.0, 1), (3.0, 50)],
+    ids=["1", "50", "inf-1", "inf-50", "1.0-1", "1.0-50", "3.0-1", "3.0-50"],
 )
-def test_pgd_attack_matches_input_space_reference(p, n):
+def test_pgd_l2_row_space_matches_dense_attack(p, n):
     rng = np.random.default_rng(14)
     net = init_network(d=30, h=8, seed=6)
     net.b1 = rng.normal(size=8) * 0.1
