@@ -22,7 +22,7 @@ from .data import (
 )
 from .experiments import config_from_mapping, load_config_file, run_figure
 from .lemmas import LEMMA_IDS, run_seed_batch, save_reports_csv
-from .margins import adversarial_margin, standard_margin
+from .margins import DEFAULT_MAX_ITER, adversarial_margin, standard_margin
 from .norms import PerturbationModel, lp_norm
 from .risk import analytic_risk, monte_carlo_risk
 from .training import STEP_MODES, TrainConfig, save_record_csv, summed_step, train
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("margins", help="standard and perturbation-adjusted margins")
     _problem_args(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-iter", type=int, default=5000)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     sp = sub.add_parser("risk", help="evaluate risks of a saved classifier")
     sp.add_argument("--theta", required=True, help="text file, one coefficient per line")

@@ -302,13 +302,11 @@ def _linear_rows(
     for i, (t, theta) in enumerate(zip(rec.snapshot_ts, thetas)):
         if not np.any(theta):
             std = adv = math.nan
-            method = cfg.eval
         elif cfg.eval == "analytic":
             rep = analytic_risk(theta, spec, model)
-            std, adv, method = rep.std_risk, rep.adv_risk, rep.method
+            std, adv = rep.std_risk, rep.adv_risk
         else:
             std, adv = next(mc_risks)
-            method = "monte_carlo"
         rows.append(
             SweepRow(
                 **shared,
@@ -317,7 +315,7 @@ def _linear_rows(
                 adv_train_err=float(rec.adv_train_errors[i]),
                 std_risk=std,
                 adv_risk=adv,
-                risk_method=method,
+                risk_method=cfg.eval,
                 loss=float(rec.losses[t]),
                 alignment=float(rec.alignments[t]),
                 theta_l2=float(rec.theta_l2[t]),
@@ -392,10 +390,6 @@ def _aggregate(rows: list[SweepRow], gaussian: bool = True) -> list[dict]:
     return out
 
 
-def _final_t(agg: list[dict]) -> int:
-    return max(rec["t"] for rec in agg)
-
-
 def _panel_series(agg: list[dict], x_key: str, curve_key: str, metric: str) -> list[Series]:
     series = []
     for cv in sorted({rec[curve_key] for rec in agg}):
@@ -435,38 +429,32 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
     write_csv(str(agg_path), list(agg[0]), (rec.values() for rec in agg))
     written = {"raw": str(raw_path), "agg": str(agg_path)}
 
-    if not svg:
+    if not svg or cfg.figure_id == "custom":
         return written
+    # the d figures plot the final iterate's risks over d, one curve per r;
+    # adv_risk_vs_t plots the adversarial risk over t >= 1, one curve per eps
+    if cfg.figure_id == "adv_risk_vs_t":
+        points = [rec for rec in agg if rec["t"] >= 1]
+        panels = (("a", "adv_risk"),)
+        x_key, curve_key, xlabel, xlog = "t", "epsilon", "iteration", False
+        setting = f" over training  (p={cfg.p:g}, d={cfg.d_grid[0]}"
+    else:
+        t_fin = max(rec["t"] for rec in agg)
+        points = [rec for rec in agg if rec["t"] == t_fin]
+        panels = (("a", "std_risk"), ("b", "adv_risk"))
+        x_key, curve_key, xlabel, xlog = "d", "r", "d", True
+        setting = f"  (p={cfg.p:g}, eps={cfg.epsilon_values()[0]:g}"
     # panels are lettered in figure order; the SVG title names the metric
-    if cfg.figure_id in ("risk_vs_d", "nn_risk_vs_d"):
-        t_fin = _final_t(agg)
-        finals = [rec for rec in agg if rec["t"] == t_fin]
-        for letter, metric in zip("ab", ("std_risk", "adv_risk")):
-            series = _panel_series(finals, "d", "r", metric)
-            path = outdir / f"{cfg.prefix}_{letter}.svg"
-            write_line_plot(
-                str(path),
-                series,
-                xlabel="d",
-                ylabel=metric.replace("_", " "),
-                title=f"{metric.replace('_', ' ')}  (p={cfg.p:g}, "
-                f"eps={cfg.epsilon_values()[0]:g}, n={cfg.n}, eta={cfg.eta:g})",
-                xlog=True,
-            )
-            written[f"panel_{letter}"] = str(path)
-    elif cfg.figure_id == "adv_risk_vs_t":
-        metric = "adv_risk"
-        pos = [rec for rec in agg if rec["t"] >= 1]
-        series = _panel_series(pos, "t", "epsilon", metric)
-        path = outdir / f"{cfg.prefix}_a.svg"
+    for letter, metric in panels:
+        path = outdir / f"{cfg.prefix}_{letter}.svg"
+        label = metric.replace("_", " ")
         write_line_plot(
             str(path),
-            series,
-            xlabel="iteration",
-            ylabel=metric.replace("_", " "),
-            title=f"{metric.replace('_', ' ')} over training  (p={cfg.p:g}, "
-            f"d={cfg.d_grid[0]}, n={cfg.n}, eta={cfg.eta:g})",
-            xlog=False,
+            _panel_series(points, x_key, curve_key, metric),
+            xlabel=xlabel,
+            ylabel=label,
+            title=f"{label}{setting}, n={cfg.n}, eta={cfg.eta:g})",
+            xlog=xlog,
         )
-        written["panel_a"] = str(path)
+        written[f"panel_{letter}"] = str(path)
     return written

@@ -361,10 +361,15 @@ def _solve(
     n, d = z.shape
     scale = float(np.max(np.linalg.norm(z, axis=1)))
     if scale == 0.0:
-        # degenerate all-zero sample: every direction scores 0
+        # degenerate all-zero sample: a direction scores -eps*||theta||_q, and
+        # the unit vectors of least q-norm are the coordinate vectors for q <= 2
+        # and the uniform direction for q > 2
         direction = np.zeros(d)
         direction[0] = 1.0
-        return MarginResult(direction=direction, value=0.0, iterations=0, certificate_gap=0.0)
+        if eps > 0.0 and pen_q > 2.0:
+            direction = _normalize(np.ones(d), sphere_q)
+        value, _ = _objective(z, direction, eps, pen_q)
+        return MarginResult(direction=direction, value=value, iterations=0, certificate_gap=0.0)
 
     start = _normalize(z.sum(axis=0), sphere_q)
     if start is None:

@@ -1,10 +1,12 @@
 """Tests for the structural-inequality diagnostic suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from advlab import lemmas
 from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.lemmas import (
     LEMMA_IDS,
@@ -124,6 +126,23 @@ def test_descent_check_flags_an_increase():
     assert not rep.passed
     assert rep.worst_iteration == 3
     assert rep.measured_constants["worst_increase"] >= 1.0
+
+
+def test_descent_check_compares_log_losses_once_the_loss_overflows():
+    # one step of 800 along z_0 + z_1 leaves margins -800 and 1608: the loss
+    # overflows to inf, so the step is judged on log-losses 0.693 -> 800
+    feats = np.array([[1.0, 0.0], [-2.0, 0.1]])
+    labels = np.ones(2)
+    ds = Dataset(feats, labels, labels.copy(), np.zeros(0, dtype=int), spec=None)
+    rec = train(ds, TrainConfig(model=PerturbationModel(2.0, 0.0), alpha=800.0, T=1))
+    assert rec.losses[0] == 2.0 and math.isinf(rec.losses[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = lemmas._check_descent(rec)
+    assert rep.measured_constants["worst_increase"] == rec.log_losses[1] - rec.log_losses[0]
+    assert rep.measured_constants["worst_increase"] == pytest.approx(800.0 - math.log(2.0))
+    assert rep.worst_iteration == 0
+    assert not rep.passed
 
 
 def test_iterate_norm_check_flags_a_violation():

@@ -225,6 +225,60 @@ def test_nonseparable_instance_falls_back_to_primal_ascent():
     assert upper >= want - 0.1 - 1e-6
 
 
+def test_all_zero_sample_returns_the_optimal_direction():
+    # every unit theta scores -eps*||theta||_q here: the best are e_0 for
+    # q <= 2 and the uniform direction, at -eps*d**(1/q - 1/2), for q > 2
+    from advlab import margins
+
+    d, eps = 3, 0.3
+    ds = _dataset(np.zeros((4, d)), np.ones(4))
+    z = ds.signed_features
+    cases = [(standard_margin(ds, q), q, q, 0.0, 0.0) for q in (1.0, 2.0, 3.0, math.inf)]
+    for p, want in ((1.0, -eps / math.sqrt(d)), (2.0, -eps), (3.0, -eps), (math.inf, -eps)):
+        res = adversarial_margin(ds, PerturbationModel(p, eps))
+        cases.append((res, 2.0, dual_exponent(p), eps, want))
+    dirs = np.random.default_rng(3).normal(size=(1000, d))
+    for res, sphere_q, q, e, want in cases:
+        assert res.value == margins._objective(z, res.direction, e, q)[0]
+        assert res.value == pytest.approx(want, abs=1e-15)
+        assert res.certificate_gap == 0.0
+        # up to the rounding of the sampled directions' norms
+        sampled = [margins._objective(z, v / lp_norm(v, sphere_q), e, q)[0] for v in dirs]
+        assert res.value + res.certificate_gap >= max(sampled) - 1e-15
+
+
+def test_sphere_ascent_charges_the_norm_at_positive_epsilon(monkeypatch):
+    # 40 rows all labelled +1 in 5 dimensions surround the origin: the optimum
+    # is negative, so the ascent on the Euclidean sphere runs with its
+    # eps*||theta||_q subgradient
+    from advlab import margins
+
+    z = np.random.default_rng(7).normal(size=(40, 5))
+    ds = _dataset(z, np.ones(40))
+    calls = []
+    subgradient = margins.norm_subgradient
+
+    def spy(theta, q):
+        calls.append(q)
+        return subgradient(theta, q)
+
+    monkeypatch.setattr(margins, "norm_subgradient", spy)
+    start = margins._normalize(z.sum(axis=0), 2.0)
+    dirs = np.random.default_rng(8).normal(size=(20_000, 5))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for p in (math.inf, 1.0, 1.5):
+        q, eps = dual_exponent(p), 0.1
+        calls.clear()
+        res = adversarial_margin(ds, PerturbationModel(p, eps))
+        assert calls and set(calls) == {q}
+        assert np.linalg.norm(res.direction) == pytest.approx(1.0, rel=1e-12)
+        assert res.value == margins._objective(z, res.direction, eps, q)[0]
+        assert res.value < 0.0
+        assert res.value >= margins._objective(z, start, eps, q)[0]
+        sampled = (z @ dirs.T).min(axis=0) - eps * _vec_norms(dirs, q)
+        assert res.value >= float(sampled.max())
+
+
 def test_adversarial_margin_beyond_the_standard_margin_at_p2_is_the_shift(monkeypatch):
     # epsilon above the standard margin leaves a negative optimum, which an
     # epsilon-ball dual cannot certify; the shifted standard solve does

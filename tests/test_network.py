@@ -313,7 +313,7 @@ def _dense_attack(net, feats, labels, p, eps, steps):
     return best
 
 
-def _assert_row_space_attack_matches_dense(net, feats, labels, p=2.0, eps=0.3, steps=8):
+def _assert_attack_matches_the_input_space_reference(net, feats, labels, p=2.0, eps=0.3, steps=8):
     cfg = PgdConfig(model=PerturbationModel(p, eps), steps=steps)
     best, clean, adv, u = network._pgd_attack_batch(net, feats, labels, cfg)
     ref = _dense_attack(net, feats, labels, p, eps, steps)
@@ -329,20 +329,20 @@ def _assert_row_space_attack_matches_dense(net, feats, labels, p=2.0, eps=0.3, s
 
 
 # the l2 attack runs on row coefficients, every other one on delta from the
-# clean pre-activations; each agrees with stepping x (the name and the ids of
-# the l2 cases keep their form from before the other norms were added)
+# clean pre-activations; each agrees with stepping x (the ids of the l2 cases
+# keep their form from before the other norms were added)
 @pytest.mark.parametrize(
     "p, n",
     [(2.0, 1), (2.0, 50), (np.inf, 1), (np.inf, 50), (1.0, 1), (1.0, 50), (3.0, 1), (3.0, 50)],
     ids=["1", "50", "inf-1", "inf-50", "1.0-1", "1.0-50", "3.0-1", "3.0-50"],
 )
-def test_pgd_l2_row_space_matches_dense_attack(p, n):
+def test_pgd_attack_matches_the_input_space_reference(p, n):
     rng = np.random.default_rng(14)
     net = init_network(d=30, h=8, seed=6)
     net.b1 = rng.normal(size=8) * 0.1
     feats = rng.normal(size=(n, 30))
     labels = rng.choice([-1.0, 1.0], size=n)
-    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels, p)
+    adv, clean = _assert_attack_matches_the_input_space_reference(net, feats, labels, p)
     assert np.any(adv < clean)
 
 
@@ -353,7 +353,7 @@ def test_pgd_l2_row_space_with_zero_and_repeated_rows():
     net.W1[3] = net.W1[2]
     feats = rng.normal(size=(40, 12))
     labels = rng.choice([-1.0, 1.0], size=40)
-    adv, clean = _assert_row_space_attack_matches_dense(net, feats, labels)
+    adv, clean = _assert_attack_matches_the_input_space_reference(net, feats, labels)
     assert np.any(adv < clean)
 
 
