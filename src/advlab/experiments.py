@@ -437,13 +437,13 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
         points = [rec for rec in agg if rec["t"] >= 1]
         panels = (("a", "adv_risk"),)
         x_key, curve_key, xlabel, xlog = "t", "epsilon", "iteration", False
-        setting = f" over training  (p={cfg.p:g}, d={cfg.d_grid[0]}"
+        over, setting = " over training", f"d={cfg.d_grid[0]}"
     else:
         t_fin = max(rec["t"] for rec in agg)
         points = [rec for rec in agg if rec["t"] == t_fin]
         panels = (("a", "std_risk"), ("b", "adv_risk"))
         x_key, curve_key, xlabel, xlog = "d", "r", "d", True
-        setting = f"  (p={cfg.p:g}, eps={cfg.epsilon_values()[0]:g}"
+        over, setting = "", f"eps={cfg.epsilon_values()[0]:g}"
     # panels are lettered in figure order; the SVG title names the metric
     for letter, metric in panels:
         path = outdir / f"{cfg.prefix}_{letter}.svg"
@@ -453,7 +453,7 @@ def run_figure(cfg: ExperimentConfig, svg: bool = True) -> dict[str, str]:
             _panel_series(points, x_key, curve_key, metric),
             xlabel=xlabel,
             ylabel=label,
-            title=f"{label}{setting}, n={cfg.n}, eta={cfg.eta:g})",
+            title=f"{label}{over}  (p={cfg.p:g}, {setting}, n={cfg.n}, eta={cfg.eta:g})",
             xlog=xlog,
         )
         written[f"panel_{letter}"] = str(path)
