@@ -234,7 +234,9 @@ def _check_subgradient(rec: TrainRecord) -> LemmaReport:
     worst_err = 0.0
     worst_t = -1
     checked = 0
-    for t, theta in zip(rec.snapshot_ts, rec.thetas):
+    # formed a block at a time: one product per block on the row-space path
+    thetas = (theta for _, block in rec.thetas.blocks() for theta in block)
+    for t, theta in zip(rec.snapshot_ts, thetas):
         nrm_q = lp_norm(theta, q)
         if nrm_q == 0.0:
             continue

@@ -26,7 +26,10 @@ theta stays in the span of the z_k.  When eps > 0 and n < d, the trainer
 writes theta = Z^T c and descends on c in R^n with the n x n Gram matrix
 Z Z^T: margins, ||theta||_2, mu.theta and the step all cost O(n^2) rather
 than O(n d).  The record keeps c, so its snapshots take O(snapshots * n)
-floats, and theta = c @ Z is formed each time a snapshot is read.  The loop,
+floats, and theta = c @ Z is formed each time a snapshot is read.  They can
+also be read a block at a time, one product per block of at most 512 KB, to
+rounding of the per-entry reads (about 1e-15 relative); the lemma check of
+the subgradient identities reads them this way.  The loop,
 the record and the divergence checks are the same on both paths; only the
 kernel and the map from iterate to theta differ.  The values agree with
 descent on theta to rounding (about 1e-15 relative).  Every other case (a
@@ -52,6 +55,7 @@ import numpy as np
 from .data import write_csv
 from .margins import adversarial_margin
 from .norms import _SUMSQ_MIN, PerturbationModel, lp_norm, norm_subgradient
+from .risk import _CHUNK_FLOATS
 
 __all__ = [
     "STEP_MODES",
@@ -142,6 +146,22 @@ class _Snapshots(Sequence):
         with np.errstate(over="ignore", invalid="ignore"):  # the c of a diverged run
             return x @ self._rows
 
+    def blocks(self):
+        """Yield (first index, rows of theta) in blocks of at most _CHUNK_FLOATS floats.
+
+        On the row-space path a block is one product of its coefficients
+        with Z, which agrees with the per-entry reads to rounding (about
+        1e-15 relative); on the theta path its rows are the stored arrays.
+        """
+        d = self._iterates[0].size if self._rows is None else self._rows.shape[1]
+        step = max(1, _CHUNK_FLOATS // d)
+        for start in range(0, len(self), step):
+            xs = self._iterates[start : start + step]
+            if self._rows is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # as in __getitem__
+                    xs = np.array(xs) @ self._rows
+            yield start, xs
+
 
 @dataclass
 class TrainRecord:
@@ -154,7 +174,10 @@ class TrainRecord:
     ``per_sample_margins`` for snapshot i), and train errors.  ``thetas[i]``
     forms snapshot i's parameter vector when read, so the record keeps
     O(snapshots * n) floats for them on the row-space path and
-    O(snapshots * d) on the theta path.
+    O(snapshots * d) on the theta path.  ``thetas.blocks()`` yields them in
+    blocks of at most 512 KB: on the row-space path one product per block,
+    equal to the per-entry reads to rounding (about 1e-15 relative), on the
+    theta path the stored arrays themselves.
     """
 
     config: TrainConfig
@@ -168,7 +191,7 @@ class TrainRecord:
     margin_spread: np.ndarray
     alphas: np.ndarray
     snapshot_ts: list[int]
-    thetas: Sequence[np.ndarray]
+    thetas: _Snapshots
     per_sample_margins: np.ndarray
     train_errors: np.ndarray
     adv_train_errors: np.ndarray

@@ -1,6 +1,8 @@
 """Tests for the structural-inequality diagnostic suite."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,14 +20,14 @@ from advlab.lemmas import (
     run_suite,
     save_reports_csv,
 )
-from advlab.norms import PerturbationModel
+from advlab.norms import PerturbationModel, norm_subgradient
 from advlab.training import TrainConfig, train
 
 
-def _mixture_run(d=800, n=12, r=0.3, eta=0.1, seed=0, eps=0.05, T=150, **train_kw):
+def _mixture_run(d=800, n=12, r=0.3, eta=0.1, seed=0, eps=0.05, T=150, p=2.0, **train_kw):
     spec = MixtureSpec(d=d, mu=mu_from_scaling(d, r), eta=eta, seed=seed)
     ds = generate(spec, n)
-    model = PerturbationModel(2.0, eps)
+    model = PerturbationModel(p, eps)
     cfg = TrainConfig(model=model, alpha=1e-3, T=T, **train_kw)
     return ds, train(ds, cfg), model
 
@@ -176,6 +178,58 @@ def test_alignment_check_compares_final_to_early():
     rep = {r.lemma_id: r for r in run_suite(ds, rec, model)}["alignment_growth"]
     assert not rep.passed
     assert rep.worst_iteration == 10
+
+
+class _OneAtATime:
+    """A record's thetas read one entry at a time, each as a block of one."""
+
+    def __init__(self, thetas):
+        self.thetas = thetas
+
+    def blocks(self):
+        for i in range(len(self.thetas)):
+            yield i, [self.thetas[i]]
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf, 1.0, 1.5])
+def test_subgradient_check_agrees_with_per_entry_reads(p):
+    # 32 snapshots at d = 5000 make 3 blocks of up to 13; at p = 2 each is
+    # one product with Z, elsewhere the rows are the stored thetas
+    ds, rec, model = _mixture_run(d=5000, T=300, p=p)
+    got = lemmas._check_subgradient(rec)
+    want = lemmas._check_subgradient(dataclasses.replace(rec, thetas=_OneAtATime(rec.thetas)))
+    assert got.passed == want.passed
+    assert got.details.split(" over ")[1] == want.details.split(" over ")[1] == "31 snapshots"
+    if p != 2.0:
+        assert got == want
+    else:  # rounding at the 1e-16 level may reorder the snapshots' errors
+        err, ref = (r.measured_constants["worst_identity_error"] for r in (got, want))
+        assert abs(err - ref) <= 1e-15
+
+
+def test_subgradient_check_flags_a_broken_subgradient(monkeypatch):
+    # the check calls lemmas.norm_subgradient per snapshot; twice the
+    # subgradient has dual norm 2, an identity error of 1
+    ds, rec, model = _mixture_run(d=100, n=8, T=20)
+    monkeypatch.setattr(lemmas, "norm_subgradient", lambda th, q: 2.0 * norm_subgradient(th, q))
+    rep = {r.lemma_id: r for r in run_suite(ds, rec, model)}["dual_subgradient"]
+    assert not rep.passed
+    assert rep.measured_constants["worst_identity_error"] >= 0.9
+
+
+def test_subgradient_check_holds_one_block_of_thetas():
+    # 201 snapshots of theta at d = 20,000 would take 32 MB at once; the
+    # check forms them 3 at a time
+    ds, rec, model = _mixture_run(d=20_000, n=20, seed=7, eps=0.1, T=200, record_every=1)
+    assert len(rec.thetas) == 201
+    tracemalloc.start()
+    try:
+        rep = lemmas._check_subgradient(rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2 * 2**20, peak
 
 
 def test_non_separable_data_is_flagged_not_fatal():

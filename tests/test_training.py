@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
+from advlab.risk import _CHUNK_FLOATS
 from advlab.training import (
     TrainConfig,
     TrainingDiverged,
@@ -567,14 +568,18 @@ def test_row_space_path_matches_theta_descent(d, eps, step_mode, start):
             np.testing.assert_array_equal(got, ref)
 
 
-def test_row_space_path_diverges_where_theta_descent_does():
-    # three rows in d = 8, two of them nearly opposed: a large step makes the
-    # weights overflow after a few iterations
+def _nearly_opposed_rows():
+    """Three rows in d = 8, two of them nearly opposed, and a step of 100."""
     feats = np.zeros((3, 8))
     feats[0, 0], feats[1, :2], feats[2, 2] = 1.0, (-0.9, 0.1), 0.5
     ds = _dataset(feats, [1.0, 1.0, 1.0])
-    eps, alpha, T = 0.1, 100.0, 50
-    cfg = TrainConfig(model=PerturbationModel(2.0, eps), alpha=alpha, T=T, record_every=1)
+    return ds, TrainConfig(model=PerturbationModel(2.0, 0.1), alpha=100.0, T=50, record_every=1)
+
+
+def test_row_space_path_diverges_where_theta_descent_does():
+    # a large step makes the weights overflow after a few iterations
+    ds, cfg = _nearly_opposed_rows()
+    eps, alpha, T = cfg.model.epsilon, cfg.alpha, cfg.T
     with pytest.raises(TrainingDiverged) as exc:
         train(ds, cfg)
 
@@ -670,3 +675,61 @@ def test_theta_path_record_returns_the_stored_thetas():
         np.testing.assert_array_equal(rec.thetas[i], want)
     assert rec.final_theta() is rec.thetas[-1]
     assert all(a is b for a, b in zip(rec.thetas[:], rec.thetas))
+
+
+def _read_blocks(thetas):
+    """(index, row) for every row of thetas.blocks(), and the block lengths."""
+    rows, sizes = [], []
+    for start, block in thetas.blocks():
+        assert start == len(rows)
+        sizes.append(len(block))
+        rows.extend(enumerate(block, start))
+    return rows, sizes
+
+
+def test_snapshot_blocks_on_the_theta_path_are_the_stored_thetas():
+    # at d = 20,000 a block holds 65,536 // 20,000 = 3 snapshots
+    d = 20_000
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=8)
+    ds = generate(spec, 10)
+    cfg = TrainConfig(model=PerturbationModel(np.inf, 0.1), alpha=1e-4, T=21, record_every=1)
+    rec = train(ds, cfg)
+    rows, sizes = _read_blocks(rec.thetas)
+    assert sizes == [3] * 7 + [1]
+    assert all(row is rec.thetas[i] for i, row in rows)
+
+
+def test_snapshot_blocks_on_the_row_space_match_the_per_entry_reads():
+    # 22 snapshots at d = 20,000: each block of 3 is one product with Z,
+    # and the last block holds 1
+    d = 20_000
+    spec = MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=7)
+    ds = generate(spec, 20)
+    cfg = TrainConfig(model=PerturbationModel(2.0, 0.1), alpha=1e-4, T=21, record_every=1)
+    rec = train(ds, cfg)
+    assert all(block.size <= _CHUNK_FLOATS for _, block in rec.thetas.blocks())
+    rows, sizes = _read_blocks(rec.thetas)
+    assert sizes == [3] * 7 + [1]
+    for i, row in rows:
+        want = rec.thetas[i]
+        assert lp_norm(row - want, 2.0) <= 1e-15 * lp_norm(want, 2.0), i
+
+
+@pytest.mark.parametrize("case", ["nearly_opposed", "overflowing"])
+def test_snapshot_blocks_of_a_diverged_row_space_run_read_without_warnings(case):
+    # the record of the nearly opposed rows, and one whose first step of
+    # 1e308 leaves coefficients whose theta overflows
+    if case == "nearly_opposed":
+        ds, cfg = _nearly_opposed_rows()
+    else:
+        spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.0, seed=4)
+        ds = generate(spec, 8)
+        cfg = TrainConfig(model=PerturbationModel(2.0, 0.1), alpha=1e308, T=3)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, cfg)
+    rec = exc.value.record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, _ = _read_blocks(rec.thetas)
+    assert len(rows) == len(rec.thetas)
+    assert all(np.isfinite(row).all() for _, row in rows) == (case == "nearly_opposed")
