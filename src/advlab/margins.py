@@ -24,6 +24,15 @@ Solvers stop once certificate_gap <= GAP_TOL * max(1, |value|): the
 tolerance is absolute for values up to 1 and relative beyond, where rounding
 in the margins alone exceeds any fixed gap.
 
+The q = 2 standard margin of a sample with n <= d (so also the adversarial
+margin at q = 2, and at epsilon = 0) is tried first exactly, on the Gram
+matrix G = Z Z^T: the hard-margin dual min 0.5 a.G a - 1.a over a >= 0,
+whose optimum scaled onto the simplex is the optimal lam, by primal-dual
+active sets.  With d >> n every row is a support vector (Hsu, Muthukumar &
+Xu, AISTATS 2021), so one n x n solve usually settles it, and the gap
+closes to rounding (about 1e-14 relative).  A sample it leaves uncertified
+(not separable, or with a singular G) takes the accelerated gradient path.
+
 The standard margin at q = 1 is the value v of the matrix game with payoff
 [Z, -Z], solved exactly when positive as the covering LP
 1/v = min{1.w : [Z, -Z] w >= 1, w >= 0} by a revised dual simplex from the
@@ -81,8 +90,10 @@ class MarginResult:
 
     ``value`` is recomputed from the data at ``direction`` on return, so
     evaluating the objective at the direction reproduces it exactly.
-    ``iterations`` counts the solver's steps against ``max_iter``: simplex
-    pivots for the q = 1 LP, plus ascent iterations whenever an ascent runs.
+    ``iterations`` counts the solver's steps against ``max_iter``: linear
+    solves for the q = 2 Gram solve and iterations for the accelerated dual
+    (both when the first leaves the sample uncertified), simplex pivots for
+    the q = 1 LP, plus ascent iterations whenever an ascent runs.
     """
 
     direction: np.ndarray
@@ -251,6 +262,46 @@ def _solve_dual(
     return best_theta, best_val, upper, it
 
 
+def _gram_dual(gram: np.ndarray, max_iter: int) -> tuple[np.ndarray | None, int]:
+    """The hard-margin dual on the Gram matrix, by primal-dual active sets.
+
+    Minimizes 0.5 a.G a - 1.a over a >= 0; when the sample is separable, the
+    optimal a scaled onto the simplex is the dual optimum lam.  From the
+    full support P, each step solves G_PP a_P = 1 (a = 0 off P) and takes
+    as the next P the positive entries of a and the indices off P whose
+    (G a)_i falls below 1.  A P that gives itself back satisfies every KKT
+    condition; since each P fixes the next, a return to an earlier P is a
+    cycle.  With n <= d in general position every row is a support vector
+    and one solve suffices.  Each solve counts against max_iter, capped at 2n.
+
+    Returns (lam, solves), with lam None when a solve fails (a singular
+    G_PP, e.g. from duplicate rows), the support empties, P cycles, or the
+    cap is reached; the caller certifies lam before using it.
+    """
+    n = gram.shape[0]
+    active = np.ones(n, dtype=bool)
+    seen = {active.tobytes()}
+    ones = np.ones(n)
+    solves = 0
+    while solves < min(max_iter, 2 * n):
+        solves += 1
+        idx = np.flatnonzero(active)
+        alpha = np.zeros(n)
+        try:
+            alpha[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], ones[: idx.size])
+        except np.linalg.LinAlgError:
+            return None, solves
+        nxt = (alpha > 0.0) | (~active & (gram @ alpha < 1.0))
+        if np.array_equal(nxt, active):
+            return alpha / float(alpha.sum()), solves
+        key = nxt.tobytes()
+        if not nxt.any() or key in seen:
+            return None, solves  # each P fixes the next, so a repeat is a cycle
+        seen.add(key)
+        active = nxt
+    return None, solves
+
+
 def _solve_covering_lp(z: np.ndarray, max_iter: int) -> tuple[np.ndarray | None, float, int]:
     """The q = 1 standard margin as a covering LP, by a revised dual simplex.
 
@@ -357,7 +408,15 @@ def _solve(
     eps: float,
     pen_q: float,
     max_iter: int,
+    gram: np.ndarray | None = None,
 ) -> MarginResult:
+    """The margin problem on the rows z; see the module docstring.
+
+    gram, the Gram matrix z z^T, is passed for a q = 2 standard margin with
+    n <= d: a separable sample is then solved exactly on it by
+    ``_gram_dual``, whose solves count as iterations, and a sample it leaves
+    uncertified takes the path it would without it, adding its iterations.
+    """
     n, d = z.shape
     scale = float(np.max(np.linalg.norm(z, axis=1)))
     if scale == 0.0:
@@ -463,13 +522,30 @@ def _solve(
         width = 2.0 * math.pi / 1024.0 / 8.0 ** 10
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
     elif sphere_q == 2.0:
-        dual_theta, best_val, best_upper, total_iters = _solve_dual(z, eps, pen_q, max_iter)
-        if dual_theta is not None:
-            best_theta = dual_theta
-        if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val):
-            # no positive optimum to certify: the sphere optimum is negative
-            # (the dual value is 0), so ascend on the sphere itself
-            _ascend(start, on_ball=False)
+        exact = None
+        if gram is not None and eps == 0.0:
+            lam, total_iters = _gram_dual(gram, max_iter)
+            if lam is not None:
+                w = lam @ z
+                theta = _normalize(w, 2.0)
+                if theta is not None:
+                    # lp_norm(w, 2) is _dual_upper_bound at lam, without a second lam @ z
+                    upper = lp_norm(w, 2.0)
+                    val, _ = _objective(z, theta, 0.0, pen_q)
+                    if val > 0.0 and upper - val <= _tolerance(val):
+                        exact = theta
+                        best_upper = upper
+        if exact is not None:
+            best_theta = exact
+        else:
+            dual_theta, best_val, best_upper, iters = _solve_dual(z, eps, pen_q, max_iter)
+            total_iters += iters
+            if dual_theta is not None:
+                best_theta = dual_theta
+            if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val):
+                # no positive optimum to certify: the sphere optimum is negative
+                # (the dual value is 0), so ascend on the sphere itself
+                _ascend(start, on_ball=False)
     else:
         # standard margin at q != 2; at q = 1 a certified LP optimum stands
         lp_theta = None
@@ -501,15 +577,16 @@ def standard_margin(
     """Best min-margin over unit q-norm directions.
 
     Positive iff the observed labels are linearly separable; negative values
-    are the sphere-constrained optimum and flag non-separability.
+    are the sphere-constrained optimum and flag non-separability.  At q = 2
+    with n <= d a separable sample is solved exactly on ``ds.gram`` (built
+    here if not yet cached), and ``iterations`` counts its active-set solves.
     """
-    return _solve(
-        ds.signed_features,
-        sphere_q=float(q),
-        eps=0.0,
-        pen_q=float(q),
-        max_iter=max_iter,
-    )
+    q = float(q)
+    z = ds.signed_features
+    # n <= d rows in general position have a nonsingular Gram matrix, and at
+    # n < d (the trainer's row-space condition) train() reuses the cached one
+    gram = ds.gram if q == 2.0 and ds.n <= ds.d else None
+    return _solve(z, sphere_q=q, eps=0.0, pen_q=q, max_iter=max_iter, gram=gram)
 
 
 def adversarial_margin(
@@ -526,7 +603,7 @@ def adversarial_margin(
     by epsilon.  At epsilon = 0 every q gives that standard solve itself.
     """
     eps, q = float(model.epsilon), float(model.q)
-    if q != 2.0:
+    if q != 2.0 and eps > 0.0:
         return _solve(ds.signed_features, sphere_q=2.0, eps=eps, pen_q=q, max_iter=max_iter)
     std = standard_margin(ds, 2.0, max_iter)
     if eps == 0.0:

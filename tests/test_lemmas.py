@@ -215,6 +215,18 @@ def test_subgradient_check_flags_a_broken_subgradient(monkeypatch):
     rep = {r.lemma_id: r for r in run_suite(ds, rec, model)}["dual_subgradient"]
     assert not rep.passed
     assert rep.measured_constants["worst_identity_error"] >= 0.9
+    # a failing check names the snapshot with the largest error
+    assert rep.worst_iteration in rec.snapshot_ts
+
+
+def test_passing_subgradient_check_names_no_worst_snapshot():
+    # errors at the rounding level have an argmax that moves with any change
+    # in rounding, so a passing check reports none
+    ds, rec, model = _mixture_run(d=5000, n=20, T=100)
+    rep = lemmas._check_subgradient(rec)
+    assert rep.passed
+    assert 0.0 < rep.measured_constants["worst_identity_error"] <= 1e-12
+    assert rep.worst_iteration == -1
 
 
 def test_subgradient_check_holds_one_block_of_thetas():

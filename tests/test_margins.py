@@ -321,6 +321,95 @@ def test_zero_epsilon_is_the_q2_standard_margin(p, d):
         )
 
 
+# ------------------------------------------------- q = 2 on the Gram matrix
+
+
+def _nnls_q2_bracket(z):
+    """(lower, upper) on the q = 2 margin: the simplex least-squares dual by
+    scipy's NNLS, with one heavily weighted row for sum(lam) = 1."""
+    from scipy.optimize import nnls
+
+    n, d = z.shape
+    weight = 1e4 * (1.0 + float(np.abs(z).max()) * math.sqrt(d))
+    a = np.vstack([z.T, np.full((1, n), weight)])
+    lam, _ = nnls(a, np.append(np.zeros(d), weight), maxiter=50 * n)
+    v = (lam / lam.sum()) @ z
+    upper = float(np.linalg.norm(v))
+    return float(np.min(z @ (v / upper))), upper
+
+
+def _fista_unused(*args):
+    raise AssertionError("the FISTA dual ran")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, d", [(50, 200), (50, 1000), (20, 5000), (50, 60)])
+def test_q2_margin_is_solved_exactly_on_the_gram_matrix(monkeypatch, n, d, seed):
+    # with n < d every row is a support vector: the active-set solve on the
+    # Gram matrix is exact, and the FISTA dual never runs
+    from advlab import margins
+
+    monkeypatch.setattr(margins, "_solve_dual", _fista_unused)
+    ds = generate(MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=seed), n)
+    res = standard_margin(ds, q=2.0)
+    lower, upper = _nnls_q2_bracket(ds.signed_features)
+    scale = max(1.0, abs(res.value))
+    assert lower - 1e-12 * scale <= res.value <= upper + 1e-12 * scale
+    assert 0.0 <= res.certificate_gap <= 1e-13 * scale
+    assert 1 <= res.iterations <= 2 * n
+    assert res.value == margins._objective(ds.signed_features, res.direction, 0.0, 2.0)[0]
+
+
+def _assert_fallback_is_todays_path(ds, max_iter=5000):
+    # the Gram solve left the sample uncertified: the result is the FISTA
+    # path's, bit for bit, after the solves it spent
+    from advlab import margins
+
+    z = ds.signed_features
+    ref = margins._solve(z, 2.0, 0.0, 2.0, max_iter)
+    solves = 0
+    if ds.n <= ds.d:
+        lam, solves = margins._gram_dual(ds.gram, max_iter)
+        assert solves >= 1
+    for res in (
+        standard_margin(ds, 2.0, max_iter),
+        adversarial_margin(ds, PerturbationModel(p=math.inf, epsilon=0.0), max_iter),
+    ):
+        assert res.direction.tobytes() == ref.direction.tobytes()
+        assert (res.value, res.certificate_gap) == (ref.value, ref.certificate_gap)
+        assert res.iterations == ref.iterations + solves
+    return ref, solves
+
+
+def test_gram_solve_falls_back_on_a_nonseparable_sample():
+    # rows z and -z among others (n < d): the optimum is 0, which no dual
+    # point certifies, so the FISTA dual and the sphere ascent take over
+    ds0 = generate(MixtureSpec(d=30, mu=mu_from_scaling(30, 0.3), eta=0.1, seed=4), 10)
+    feats = np.vstack([ds0.features, ds0.features[3]])
+    ds = _dataset(feats, np.append(ds0.labels, -ds0.labels[3]))
+    ref, _ = _assert_fallback_is_todays_path(ds)
+    assert ref.value <= 0.0
+
+
+def test_gram_solve_falls_back_on_duplicate_rows():
+    # two equal rows make G singular, exactly, so the first solve fails
+    from advlab import margins
+
+    feats = np.array([[1.0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [0, 2.0, 0, 0, 0], [0, 0, 1.0, 1.0, 0]])
+    ds = _dataset(feats, np.ones(4))
+    assert margins._gram_dual(ds.gram, 5000) == (None, 1)
+    ref, _ = _assert_fallback_is_todays_path(ds)
+    # the rows e0, 2 e1 and e2 + e3: lam ~ (4, 1, 2)/7 on them
+    assert ref.value == pytest.approx(2.0 / math.sqrt(7.0), abs=1e-9)
+
+
+def test_q2_margin_with_more_rows_than_dimensions_uses_no_gram_matrix():
+    ds = generate(MixtureSpec(d=20, mu=mu_from_scaling(20, 0.5), eta=0.0, seed=2), 60)
+    ref, _ = _assert_fallback_is_todays_path(ds)
+    assert ref.value > 0.0
+    assert "gram" not in ds.__dict__
+
+
 # ------------------------------------------------- q = 1 by the covering LP
 
 
@@ -453,6 +542,10 @@ def test_margin_solves_do_not_import_scipy_optimize():
         "from advlab.margins import adversarial_margin, standard_margin\n"
         "from advlab.norms import PerturbationModel\n"
         "ds = generate(MixtureSpec(d=100, mu=mu_from_scaling(100, 0.3), eta=0.1, seed=0), 20)\n"
+        "from advlab import margins\n"
+        "fista, margins._solve_dual = margins._solve_dual, None  # q = 2: the Gram solve\n"
+        "assert standard_margin(ds, 2.0).certificate_gap < 1e-13\n"
+        "margins._solve_dual = fista\n"
         "for p in (2.0, math.inf):\n"
         "    model = PerturbationModel(p, 0.05)\n"
         "    standard_margin(ds, model.q)\n"

@@ -362,6 +362,34 @@ def test_scheduled_steps_recomputed_from_margin():
         assert rec.schedule_M == pytest.approx(M, rel=1e-12)
 
 
+# schedule_M on criterion 4's seeds 0-9 when the FISTA dual set the
+# schedule, to its 1e-10 stopping gap
+_FISTA_SCHEDULE_M = (
+    218292.50043233018, 201074.28884703093, 198942.71985199398, 214722.99546851838,
+    193872.43311430461, 208475.7270870373, 202035.20144457865, 210504.21692639834,
+    212598.23172920136, 182479.7866367142,
+)
+
+
+def test_scheduled_margin_is_solved_exactly_on_the_gram_matrix(monkeypatch):
+    # criterion 4's regime (n = 50, d = 5000): the schedule's margin comes
+    # from the Gram solve, and moves M by no more than FISTA's gap did
+    from advlab import margins
+    from advlab.margins import adversarial_margin
+
+    def unused(*args):
+        raise AssertionError("the FISTA dual ran")
+
+    monkeypatch.setattr(margins, "_solve_dual", unused)
+    model = PerturbationModel(2.0, 0.1)
+    cfg = TrainConfig(model=model, step_mode="scheduled", G=10.0, T=1)
+    for seed, want in enumerate(_FISTA_SCHEDULE_M):
+        ds = generate(MixtureSpec(d=5000, mu=mu_from_scaling(5000, 0.3), eta=0.1, seed=seed), 50)
+        rec = train(ds, cfg)
+        assert rec.adv_margin == adversarial_margin(ds, model).value
+        assert rec.schedule_M == pytest.approx(want, rel=1e-9)
+
+
 def test_scheduled_mode_warns_and_falls_back_when_not_separable():
     # three classes of identical label at 120 degrees: no separating direction
     s = math.sqrt(3.0) / 2.0
