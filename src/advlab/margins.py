@@ -522,7 +522,7 @@ def _solve(
         width = 2.0 * math.pi / 1024.0 / 8.0 ** 10
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
     elif sphere_q == 2.0:
-        exact = None
+        exact = False
         if gram is not None and eps == 0.0:
             lam, total_iters = _gram_dual(gram, max_iter)
             if lam is not None:
@@ -533,11 +533,8 @@ def _solve(
                     upper = lp_norm(w, 2.0)
                     val, _ = _objective(z, theta, 0.0, pen_q)
                     if val > 0.0 and upper - val <= _tolerance(val):
-                        exact = theta
-                        best_upper = upper
-        if exact is not None:
-            best_theta = exact
-        else:
+                        exact, best_theta, best_upper = True, theta, upper
+        if not exact:
             dual_theta, best_val, best_upper, iters = _solve_dual(z, eps, pen_q, max_iter)
             total_iters += iters
             if dual_theta is not None:
