@@ -106,7 +106,7 @@ def _check_geometry(ds: Dataset, c: float) -> LemmaReport:
     noisy = proj[~clean_mask]
     noisy_ok = bool(np.all(noisy <= -0.5 * mu_sq) and np.all(noisy >= -1.5 * mu_sq))
 
-    frac_excess = len(ds.noise_indices) / n - (ds.spec.eta if ds.spec else 0.0)
+    frac_excess = len(ds.noise_indices) / n - ds.spec.eta
     count_ok = frac_excess <= _NOISE_SLACK
 
     passed = (c <= 2.0) and (pair_max <= pair_limit) and clean_ok and noisy_ok and count_ok

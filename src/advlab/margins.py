@@ -25,13 +25,15 @@ tolerance is absolute for values up to 1 and relative beyond, where rounding
 in the margins alone exceeds any fixed gap.
 
 The q = 2 standard margin of a sample with n <= d (so also the adversarial
-margin at q = 2, and at epsilon = 0) is tried first exactly, on the Gram
-matrix G = Z Z^T: the hard-margin dual min 0.5 a.G a - 1.a over a >= 0,
-whose optimum scaled onto the simplex is the optimal lam, by primal-dual
-active sets.  With d >> n every row is a support vector (Hsu, Muthukumar &
-Xu, AISTATS 2021), so one n x n solve usually settles it, and the gap
-closes to rounding (about 1e-14 relative).  A sample it leaves uncertified
-(not separable, or with a singular G) takes the accelerated gradient path.
+margin at q = 2, and at epsilon = 0) is solved exactly in ``standard_margin``,
+on the Gram matrix G = Z Z^T: the hard-margin dual min 0.5 a.G a - 1.a over
+a >= 0, whose optimum scaled onto the simplex is the optimal lam, by
+primal-dual active sets.  With d >> n every row is a support vector (Hsu,
+Muthukumar & Xu, AISTATS 2021), so one n x n solve usually settles it, and
+the gap closes to rounding (about 1e-14 relative).  Past the one product
+that builds G, it reads the sample twice: w = lam Z, whose norm is the bound,
+and the margins at w/||w||.  A sample it leaves uncertified (not separable,
+or with a singular G) takes the accelerated gradient path.
 
 The standard margin at q = 1 is the value v of the matrix game with payoff
 [Z, -Z], solved exactly when positive as the covering LP
@@ -55,7 +57,7 @@ replaces all of these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -403,20 +405,9 @@ def _solve_covering_lp(z: np.ndarray, max_iter: int) -> tuple[np.ndarray | None,
 
 
 def _solve(
-    z: np.ndarray,
-    sphere_q: float,
-    eps: float,
-    pen_q: float,
-    max_iter: int,
-    gram: np.ndarray | None = None,
+    z: np.ndarray, sphere_q: float, eps: float, pen_q: float, max_iter: int
 ) -> MarginResult:
-    """The margin problem on the rows z; see the module docstring.
-
-    gram, the Gram matrix z z^T, is passed for a q = 2 standard margin with
-    n <= d: a separable sample is then solved exactly on it by
-    ``_gram_dual``, whose solves count as iterations, and a sample it leaves
-    uncertified takes the path it would without it, adding its iterations.
-    """
+    """The margin problem on the rows z; see the module docstring."""
     n, d = z.shape
     scale = float(np.max(np.linalg.norm(z, axis=1)))
     if scale == 0.0:
@@ -522,27 +513,13 @@ def _solve(
         width = 2.0 * math.pi / 1024.0 / 8.0 ** 10
         best_upper = val + 8.0 * (scale + eps + 1.0) * width
     elif sphere_q == 2.0:
-        exact = False
-        if gram is not None and eps == 0.0:
-            lam, total_iters = _gram_dual(gram, max_iter)
-            if lam is not None:
-                w = lam @ z
-                theta = _normalize(w, 2.0)
-                if theta is not None:
-                    # lp_norm(w, 2) is _dual_upper_bound at lam, without a second lam @ z
-                    upper = lp_norm(w, 2.0)
-                    val, _ = _objective(z, theta, 0.0, pen_q)
-                    if val > 0.0 and upper - val <= _tolerance(val):
-                        exact, best_theta, best_upper = True, theta, upper
-        if not exact:
-            dual_theta, best_val, best_upper, iters = _solve_dual(z, eps, pen_q, max_iter)
-            total_iters += iters
-            if dual_theta is not None:
-                best_theta = dual_theta
-            if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val):
-                # no positive optimum to certify: the sphere optimum is negative
-                # (the dual value is 0), so ascend on the sphere itself
-                _ascend(start, on_ball=False)
+        dual_theta, best_val, best_upper, total_iters = _solve_dual(z, eps, pen_q, max_iter)
+        if dual_theta is not None:
+            best_theta = dual_theta
+        if best_val <= 0.0 and best_upper - best_val > _tolerance(best_val):
+            # no positive optimum to certify: the sphere optimum is negative
+            # (the dual value is 0), so ascend on the sphere itself
+            _ascend(start, on_ball=False)
     else:
         # standard margin at q != 2; at q = 1 a certified LP optimum stands
         lp_theta = None
@@ -576,14 +553,25 @@ def standard_margin(
     Positive iff the observed labels are linearly separable; negative values
     are the sphere-constrained optimum and flag non-separability.  At q = 2
     with n <= d a separable sample is solved exactly on ``ds.gram`` (built
-    here if not yet cached), and ``iterations`` counts its active-set solves.
+    here if not yet cached), and ``iterations`` counts its active-set solves,
+    plus ``_solve``'s iterations when the solves leave the sample uncertified.
     """
     q = float(q)
     z = ds.signed_features
+    if q != 2.0 or ds.n > ds.d:
+        return _solve(z, sphere_q=q, eps=0.0, pen_q=q, max_iter=max_iter)
     # n <= d rows in general position have a nonsingular Gram matrix, and at
     # n < d (the trainer's row-space condition) train() reuses the cached one
-    gram = ds.gram if q == 2.0 and ds.n <= ds.d else None
-    return _solve(z, sphere_q=q, eps=0.0, pen_q=q, max_iter=max_iter, gram=gram)
+    lam, solves = _gram_dual(ds.gram, max_iter)
+    if lam is not None:
+        w = lam @ z
+        upper = lp_norm(w, 2.0)  # _dual_upper_bound at lam
+        direction = w / upper
+        value, _ = _objective(z, direction, 0.0, 2.0)
+        if value > 0.0 and upper - value <= _tolerance(value):
+            return MarginResult(direction, value, solves, max(0.0, upper - value))
+    res = _solve(z, sphere_q=2.0, eps=0.0, pen_q=2.0, max_iter=max_iter)
+    return replace(res, iterations=res.iterations + solves)
 
 
 def adversarial_margin(
@@ -605,7 +593,7 @@ def adversarial_margin(
     std = standard_margin(ds, 2.0, max_iter)
     if eps == 0.0:
         return std
-    value, _ = _objective(ds.signed_features, std.direction, eps, 2.0)
+    value = std.value - eps * lp_norm(std.direction, 2.0)
     upper = std.value + std.certificate_gap - eps
     return MarginResult(
         direction=std.direction,

@@ -81,10 +81,11 @@ def test_signed_features_and_gram_are_computed_once():
     assert z is ds.signed_features
     assert ds.gram is ds.gram
     assert not z.flags.writeable and not ds.gram.flags.writeable
-    # the row-by-row build agrees with the one-shot product to rounding
+    # one product of the signed rows, exactly symmetric
     want = ds.labels[:, None] * ds.features
     np.testing.assert_allclose(ds.gram, want @ want.T, rtol=1e-13, atol=1e-12)
-    np.testing.assert_array_equal(ds.gram[3], z @ z[3])
+    np.testing.assert_array_equal(ds.gram, z @ z.T)
+    np.testing.assert_array_equal(ds.gram, ds.gram.T)
 
 
 def test_eta_zero_means_no_flips():

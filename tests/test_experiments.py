@@ -433,24 +433,31 @@ def test_sweep_alpha_is_averaged_loss_step(tmp_path):
 def test_scheduled_sweep_writes_the_margin_that_set_the_schedule(tmp_path, monkeypatch):
     # one standard and one adversarial margin solve per run: the adversarial
     # margin is solved once inside train() and reused for the margin_adv column
-    from advlab import margins
+    from advlab import experiments, margins, training
     from advlab.data import MixtureSpec, generate, mu_from_scaling
     from advlab.norms import PerturbationModel
 
     calls = []
-    solve = margins._solve
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counting(module, name):
+        solve = getattr(module, name)
 
-    monkeypatch.setattr(margins, "_solve", counting_solve)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # the entry points the benchmark recorder taps
+    counting(experiments, "standard_margin")
+    counting(experiments, "adversarial_margin")
+    counting(training, "adversarial_margin")
     cfg = _tiny_cfg(
         tmp_path, figure_id="custom", n=10, d_grid=(15,), r=0.4, seeds=1, T=5,
         record_every=5, step_mode="scheduled", margin_iters=100,
     )
     written = run_figure(cfg, svg=False)
-    assert len(calls) == 2
+    assert sorted(calls) == ["adversarial_margin", "standard_margin"]
     lines = open(written["raw"]).read().strip().split("\n")
     header = lines[0].split(",")
     row = dict(zip(header, lines[-1].split(",")))

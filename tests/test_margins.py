@@ -305,6 +305,24 @@ def test_adversarial_margin_beyond_the_standard_margin_at_p2_is_the_shift(monkey
         assert res.certificate_gap <= 1e-9
 
 
+@pytest.mark.parametrize("d", [50, 200, 1000, 5000])
+def test_p2_adversarial_margin_is_the_standard_solve_shifted(d):
+    # the standard direction, its objective value bit for bit, and the
+    # standard bound shifted by epsilon, on separable samples
+    from advlab import margins
+
+    ds = generate(MixtureSpec(d=d, mu=mu_from_scaling(d, 0.3), eta=0.1, seed=d), 50)
+    std = standard_margin(ds, q=2.0)
+    assert std.value > 0.0
+    for eps in (0.01, 0.1, 0.5):
+        res = adversarial_margin(ds, PerturbationModel(p=2.0, epsilon=eps))
+        assert res.direction.tobytes() == std.direction.tobytes()
+        assert res.value == margins._objective(ds.signed_features, res.direction, eps, 2.0)[0]
+        assert res.certificate_gap == max(
+            0.0, std.value + std.certificate_gap - eps - res.value
+        )
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
 @pytest.mark.parametrize("d", [2, 7, 60])
 def test_zero_epsilon_is_the_q2_standard_margin(p, d):
