@@ -593,6 +593,7 @@ def adversarial_margin(
     std = standard_margin(ds, 2.0, max_iter)
     if eps == 0.0:
         return std
+    # _objective at the direction, bit for bit: std.value is its least margin
     value = std.value - eps * lp_norm(std.direction, 2.0)
     upper = std.value + std.certificate_gap - eps
     return MarginResult(
