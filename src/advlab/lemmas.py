@@ -246,9 +246,10 @@ def _check_subgradient(rec: TrainRecord) -> LemmaReport:
         checked += 1
         g = norm_subgradient(theta, q)
         tol_scale = max(1.0, nrm_q)
+        nrm_2 = lp_norm(g, 2.0)
         errs = (
-            abs(lp_norm(g, p) - 1.0),
-            max(0.0, lp_norm(g, 2) - math.sqrt(d)),
+            abs((nrm_2 if p == 2.0 else lp_norm(g, p)) - 1.0),
+            max(0.0, nrm_2 - math.sqrt(d)),
             abs(float(theta @ g) - nrm_q) / tol_scale,
         )
         e = max(errs)

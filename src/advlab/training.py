@@ -20,6 +20,13 @@ spreads, alignments and train errors are computed from these once, after the
 loop, and theta is formed from a snapshot's iterate when the record is read.
 The margin array is bounded by the configuration: 0.8 MB at n = 50, T = 2000.
 
+Divergence is tested once per block of 64 steps: every iterate of the block
+has a finite smallest margin and the iterate after it is finite (steps are
+positive, so a non-finite gradient leaves a non-finite iterate, and that
+stays so).  A block that fails, or raises, is rolled back to its start and
+replayed with the per-step test, so the loop stops at the same iteration,
+with the same message and record, as one tested at every step.
+
 Row space at q = 2: there g(theta) = theta/||theta||_2, so every step adds a
 combination of the rows z_k and rescales theta, and from the zero start
 theta stays in the span of the z_k.  When eps > 0 and n < d, the trainer
@@ -72,6 +79,7 @@ __all__ = [
 ]
 
 STEP_MODES = ("constant", "scheduled")
+_BLOCK = 64  # steps between divergence tests (module docstring)
 
 
 @dataclass(frozen=True)
@@ -406,10 +414,9 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             schedule_M=schedule_M,
         )
 
-    # overflowed weights and losses are expected right before the divergence
-    # check, and inf or nan margins in the record of a diverged run
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T + 1):
+    def steps(x: np.ndarray, t0: int, t1: int, checked: bool) -> np.ndarray:
+        """Record iterates t0..t1-1 and step from each below T; return the next x."""
+        for t in range(t0, t1):
             m, loss, pen_norm, grad = evaluate(x, t < T)
             margins[t] = m
             losses[t] = loss
@@ -428,12 +435,31 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
                 break
             # the log-loss is finite iff the smallest margin and eps*||theta||_q
             # are; where the latter is not, neither is the gradient
-            if not (math.isfinite(m.min()) and np.isfinite(grad).all()):
+            if checked and not (math.isfinite(m.min()) and np.isfinite(grad).all()):
                 raise TrainingDiverged(
                     f"non-finite loss or gradient at iteration {t}", make_record(t), t
                 )
             alphas[t] = alpha = alpha_first if t == 0 else alpha_rest
             x = x - alpha * grad
+        return x
+
+    # overflowed weights and losses are expected right before the divergence
+    # check, and inf or nan margins in the record of a diverged run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, T + 1, _BLOCK):
+            t1 = min(t0 + _BLOCK, T + 1)
+            kept = len(snapshot_ts)
+            try:
+                end = steps(x, t0, t1, checked=False)
+                passed = np.isfinite(margins[t0:t1].min(axis=1)).all() and np.isfinite(end).all()
+            except Exception:
+                passed = False
+            if not passed:  # roll back to the block's start and replay it step by step
+                del snapshot_ts[kept:], iterates[kept:]
+                losses[t0:t1] = theta_q[t0:t1] = theta_l2[t0:t1] = dots[t0:t1] = np.nan
+                alphas[t0:t1] = 0.0
+                end = steps(x, t0, t1, checked=True)
+            x = end
         rec = make_record(T)
     if not math.isfinite(rec.log_losses[T]):
         raise TrainingDiverged(f"non-finite loss at iteration {T}", rec, T)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from advlab import training
 from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
 from advlab.norms import PerturbationModel, lp_norm, worst_case_perturbation
 from advlab.risk import _CHUNK_FLOATS
@@ -469,6 +470,167 @@ def test_divergence_at_the_final_iterate(path):
     assert not np.any(np.isfinite(rec.per_sample_margins[1]))
     assert not math.isfinite(rec.log_losses[1])
     assert rec.train_errors.shape == rec.adv_train_errors.shape == (2,)
+
+
+# ------------------------------------------ divergence tested once per block
+
+_RECORD_ARRAYS = (
+    "losses", "log_losses", "theta_l2", "theta_q", "alignments", "margin_spread",
+    "alphas", "per_sample_margins", "train_errors", "adv_train_errors",
+)
+_KERNELS = {"row_space": "_row_space_worst_case", "theta": "_worst_case"}
+
+
+def _outcome(ds, cfg, block, monkeypatch):
+    """(iteration and message of a divergence or None, record) at a block size."""
+    monkeypatch.setattr(training, "_BLOCK", block)
+    try:
+        return None, train(ds, cfg)
+    except TrainingDiverged as exc:
+        return (exc.iteration, str(exc)), exc.record
+
+
+def _assert_same_outcome(got, want):
+    # bit for bit, nan payloads included
+    (stop, rec), (want_stop, want_rec) = got, want
+    assert stop == want_stop
+    assert rec.snapshot_ts == want_rec.snapshot_ts
+    for name in _RECORD_ARRAYS:
+        a, b = getattr(rec, name), getattr(want_rec, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert [th.tobytes() for th in rec.thetas] == [th.tobytes() for th in want_rec.thetas]
+    assert (rec.adv_margin, rec.schedule_M) == (want_rec.adv_margin, want_rec.schedule_M)
+
+
+def _block_case(path):
+    """A run of T = 130 (blocks [0, 64), [64, 128), [128, 131)) on either path."""
+    spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.1, seed=3)
+    p = 2.0 if path == "row_space" else np.inf
+    cfg = TrainConfig(model=PerturbationModel(p, 0.1), alpha=1e-2, T=130, record_every=3)
+    return generate(spec, 8), cfg
+
+
+def _iterates_seen(ds, cfg, path, monkeypatch):
+    """The bytes of the iterate the kernel sees at each t of a clean run."""
+    kernel, seen = getattr(training, _KERNELS[path]), []
+
+    def spy(x, *args):
+        seen.append(x.tobytes())
+        return kernel(x, *args)
+
+    monkeypatch.setattr(training, _KERNELS[path], spy)
+    train(ds, cfg)
+    monkeypatch.setattr(training, _KERNELS[path], kernel)
+    assert len(seen) == cfg.T + 1
+    return seen
+
+
+def _faulty_kernel(path, at, fault):
+    """The kernel, with a fault wherever it sees the iterate ``at``."""
+    kernel = getattr(training, _KERNELS[path])
+
+    def faulty(x, *args):
+        m, loss, pen_norm, grad = kernel(x, *args)
+        if x.tobytes() == at:
+            if fault == "inf_gradient":
+                grad = grad.copy()
+                grad[0] = np.inf
+            else:
+                m = m.copy()
+                value = {"nan_margin": np.nan, "neg_inf_margin": -np.inf, "one_inf_margin": np.inf}
+                m[np.argmax(m) if fault == "one_inf_margin" else 0] = value[fault]
+        return m, loss, pen_norm, grad
+
+    return faulty
+
+
+_T = 130
+_FAULT_CASES = [
+    (fault, t)
+    for fault in ("neg_inf_margin", "nan_margin", "inf_gradient", "one_inf_margin")
+    for t in (1, 63, 64, 65, 127, _T - 1, _T)
+    if not (fault == "inf_gradient" and t == _T)  # no gradient is taken at T
+]
+
+
+@pytest.mark.parametrize("path", ["theta", "row_space"])
+@pytest.mark.parametrize("fault, t", _FAULT_CASES)
+def test_divergence_at_every_position_around_a_block(path, fault, t, monkeypatch):
+    # a fault at t on either side of a block boundary stops the run where,
+    # and with the record with which, a test at every step stops it; a single
+    # +inf margin leaves the row's minimum finite and the run goes on
+    ds, cfg = _block_case(path)
+    at = _iterates_seen(ds, cfg, path, monkeypatch)[t]
+    monkeypatch.setattr(training, _KERNELS[path], _faulty_kernel(path, at, fault))
+    got = _outcome(ds, cfg, 64, monkeypatch)
+    _assert_same_outcome(got, _outcome(ds, cfg, 1, monkeypatch))
+    if fault == "one_inf_margin":
+        assert got[0] is None and got[1].margin_spread[t] == math.inf
+    elif t < _T:
+        assert got[0] == (t, f"non-finite loss or gradient at iteration {t}")
+    else:
+        assert got[0] == (_T, f"non-finite loss at iteration {_T}")
+
+
+@pytest.mark.parametrize("path", ["theta", "row_space"])
+def test_divergence_when_a_finite_gradient_overflows_the_iterate(path, monkeypatch):
+    # two opposed rows of scale 1e-152 and a step of 1.25 / s^2: the margins
+    # oscillate about the minimiser with a growing amplitude, until a step
+    # whose gradient is finite overflows the iterate, past the first block
+    s = 1e-152
+    ds = _dataset([[s, 0.0, 0.0], [-(1.0 + 2.0**-52) * s, 0.0, 0.0]], [1.0, 1.0])
+    model = PerturbationModel(2.0, 0.0 if path == "theta" else 1e-170)
+    cfg = TrainConfig(model=model, alpha=1.25 / (s * s), T=130, record_every=1)
+    got = _outcome(ds, cfg, 64, monkeypatch)
+    _assert_same_outcome(got, _outcome(ds, cfg, 1, monkeypatch))
+    (stop, message), rec = got
+    assert 64 < stop < 128 and message == f"non-finite loss or gradient at iteration {stop}"
+    thetas = list(rec.thetas)
+    # the step from stop - 1 passed the per-step test, so its gradient was finite
+    assert rec.alphas[stop - 1] == cfg.alpha and math.isfinite(rec.losses[stop - 1])
+    assert np.isfinite(thetas[stop - 1]).all() and not np.isfinite(thetas[stop]).all()
+
+
+@pytest.mark.parametrize("path", ["theta", "row_space"])
+def test_an_error_inside_an_unchecked_block_reaches_the_caller(path, monkeypatch):
+    # the kernel raises at t = 70: the block is replayed step by step, where
+    # it raises again, and that error is the one the caller sees
+    ds, cfg = _block_case(path)
+    at = _iterates_seen(ds, cfg, path, monkeypatch)[70]
+    kernel, calls = getattr(training, _KERNELS[path]), []
+
+    def raising(x, *args):
+        if x.tobytes() == at:
+            calls.append(len(calls))
+            raise ValueError(f"kernel fault {len(calls)}")
+        return kernel(x, *args)
+
+    monkeypatch.setattr(training, _KERNELS[path], raising)
+    with pytest.raises(ValueError, match="^kernel fault 2$"):
+        train(ds, cfg)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("path", ["theta", "row_space"])
+def test_a_rolled_back_block_leaves_no_trace_in_the_record(path, monkeypatch):
+    # an error at t = 70 that the replay does not meet: the record is the
+    # clean run's, with no snapshot or value kept from the rolled-back block
+    ds, cfg = _block_case(path)
+    at = _iterates_seen(ds, cfg, path, monkeypatch)[70]
+    clean = _outcome(ds, cfg, 64, monkeypatch)
+    kernel, calls = getattr(training, _KERNELS[path]), []
+
+    def raising_once(x, *args):
+        if x.tobytes() == at:
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise ValueError("kernel fault")
+        return kernel(x, *args)
+
+    monkeypatch.setattr(training, _KERNELS[path], raising_once)
+    got = _outcome(ds, cfg, 64, monkeypatch)
+    assert len(calls) == 2
+    _assert_same_outcome(got, clean)
 
 
 def test_theta_l2_record_is_overflow_safe_off_q2():
