@@ -452,7 +452,7 @@ def train(ds, cfg: TrainConfig, theta0: Optional[np.ndarray] = None) -> TrainRec
             try:
                 end = steps(x, t0, t1, checked=False)
                 passed = np.isfinite(margins[t0:t1].min(axis=1)).all() and np.isfinite(end).all()
-            except Exception:
+            except Exception:  # the replay meets it again, or stops before it
                 passed = False
             if not passed:  # roll back to the block's start and replay it step by step
                 del snapshot_ts[kept:], iterates[kept:]
