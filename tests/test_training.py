@@ -506,7 +506,7 @@ def _block_case(path):
     """A run of T = 130 (blocks [0, 64), [64, 128), [128, 131)) on either path."""
     spec = MixtureSpec(d=20, mu=mu_from_scaling(20, 0.4), eta=0.1, seed=3)
     p = 2.0 if path == "row_space" else np.inf
-    cfg = TrainConfig(model=PerturbationModel(p, 0.1), alpha=1e-2, T=130, record_every=3)
+    cfg = TrainConfig(model=PerturbationModel(p, 0.1), alpha=1e-2, T=_T, record_every=3)
     return generate(spec, 8), cfg
 
 
