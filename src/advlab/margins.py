@@ -64,6 +64,7 @@ import numpy as np
 
 from .norms import (
     PerturbationModel,
+    _threshold,
     dual_exponent,
     lp_norm,
     norm_subgradient,
@@ -182,24 +183,6 @@ def _refine_2d(
     return vec, val
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (Michelot's method).
-
-    The threshold tau solves sum(max(v - tau, 0)) = 1.  Averaging over a
-    shrinking support gives a tau that only grows, and each pass drops the
-    entries at or below it, so the support settles at the exact threshold
-    in at most v.size passes.  Unlike the sorted-threshold method it needs
-    no sort, whose first call maps numpy's sorting kernels into memory.
-    """
-    w = v
-    while True:
-        tau = (float(w.sum()) - 1.0) / w.size
-        kept = w[w > tau]
-        if kept.size in (0, w.size):  # 0 only when v holds NaN
-            return np.maximum(v - tau, 0.0)
-        w = kept
-
-
 def _solve_dual(
     z: np.ndarray, eps: float, pen_q: float, max_iter: int
 ) -> tuple[np.ndarray | None, float, float, int]:
@@ -236,7 +219,8 @@ def _solve_dual(
         it += 1
         grad = z @ _residual(wy, ball_p, eps)
         while True:
-            xn = _project_simplex(y - grad / lip)
+            v = y - grad / lip
+            xn = np.maximum(v - _threshold(v, 1.0), 0.0)  # onto the simplex
             wn = xn @ z
             dx, dw = xn - y, wn - wy
             if lip >= lip_max or not float(dw @ dw) > lip * float(dx @ dx):

@@ -57,7 +57,7 @@ from .norms import (
     norm_subgradient_rows,
     project_onto_ball,
 )
-from .risk import _CHUNK_FLOATS, RiskReport, _stream_eval_rows
+from .risk import RiskReport, _row_chunks, _stream_eval_rows
 from .training import _log_losses
 
 __all__ = [
@@ -462,9 +462,7 @@ def evaluate_nn_risks(
         attacked = np.where(margin < clean_margin, margin, clean_margin)
     else:
         clean_margin, attacked = np.empty((2, m))
-        step = max(1, _CHUNK_FLOATS // net.d)
-        for lo in range(0, m, step):
-            rows = slice(lo, lo + step)
+        for rows in _row_chunks(m, net.d):
             clean_margin[rows], attacked[rows], _ = _dense_steps(net, u0[rows], labels[rows], pgd)
     return RiskReport.monte_carlo(
         float(np.mean(clean_margin < 0.0)), float(np.mean(attacked < 0.0)), m

@@ -38,15 +38,21 @@ _SUMSQ_MIN = 1e-280
 _TINY = np.finfo(float).tiny
 
 
+def _exponent(p: float) -> float:
+    """p as a float, checked to lie in [1, inf]."""
+    p = float(p)
+    if math.isnan(p) or p < 1.0:
+        raise ValueError(f"norm exponent must lie in [1, inf], got {p!r}")
+    return p
+
+
 def dual_exponent(p: float) -> float:
     """Return the conjugate exponent q with 1/p + 1/q = 1.
 
     ``dual_exponent(1) == math.inf``, ``dual_exponent(math.inf) == 1``, and
     the map is an involution on [1, inf].  Raises ValueError for p < 1.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {p!r}")
+    p = _exponent(p)
     if p == 1.0:
         return math.inf
     if math.isinf(p):
@@ -82,9 +88,7 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     finite p, and p = 2 outside that range, use max-factoring so that large
     exponents neither overflow nor underflow before the final root.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {p!r}")
+    p = _exponent(p)
     a = np.abs(np.asarray(v, dtype=float))
     if a.size == 0:
         return 0.0
@@ -127,9 +131,7 @@ def norm_subgradient_rows(mat: np.ndarray, q: float) -> np.ndarray:
     divided by their largest modulus, so large exponents neither overflow nor
     underflow.  Each row's result depends on that row alone.
     """
-    q = float(q)
-    if math.isnan(q) or q < 1.0:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {q!r}")
+    q = _exponent(q)
     mat = np.asarray(mat, dtype=float)
     if q == 1.0:
         return np.sign(mat)
@@ -182,18 +184,26 @@ def worst_case_perturbation(
     return (-model.epsilon * float(y)) * g
 
 
+def _threshold(a: np.ndarray, radius: float) -> np.ndarray:
+    """The soft threshold tau of each row (last axis): sum_i max(a_i - tau, 0) = radius.
+
+    tau is the largest (S_k - radius) / k over k, with S_k the sum of the k
+    largest entries: each such average is at most tau, and the one at the
+    support size equals it, so no support search is needed.  Returned with
+    the last axis kept, at length 1.
+    """
+    s = np.sort(a, axis=-1)[..., ::-1]
+    taus = (s.cumsum(axis=-1) - radius) / np.arange(1, a.shape[-1] + 1)
+    return taus.max(axis=-1, keepdims=True)
+
+
 def _project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Projection of each row (last axis) onto the l1 ball by sorted soft thresholding."""
+    """Projection of each row (last axis) onto the l1 ball by soft thresholding."""
     a = np.abs(v)
     far = a.sum(axis=-1, keepdims=True) > radius
     if not far.any():
         return v.copy()
-    s = np.sort(a, axis=-1)[..., ::-1]
-    taus = (s.cumsum(axis=-1) - radius) / np.arange(1, a.shape[-1] + 1)
-    # the threshold sits at the last index where s > tau
-    rho = a.shape[-1] - 1 - (s - taus > 0)[..., ::-1].argmax(axis=-1, keepdims=True)
-    tau = np.take_along_axis(taus, rho, axis=-1)
-    return np.where(far, np.sign(v) * np.maximum(a - tau, 0.0), v)
+    return np.where(far, np.sign(v) * np.maximum(a - _threshold(a, radius), 0.0), v)
 
 
 def _project_pball_bisect(v: np.ndarray, p: float, radius: float) -> np.ndarray:
@@ -279,9 +289,7 @@ def project_onto_ball(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     ``lp_norm``); other finite p runs the KKT bisection (tolerance 1e-10) on
     each row outside the ball.  radius = 0 returns zeros.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {p!r}")
+    p = _exponent(p)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius!r}")
     v = np.asarray(v, dtype=float)

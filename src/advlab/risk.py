@@ -54,7 +54,7 @@ __all__ = [
 
 _SQRT1_2 = math.sqrt(0.5)
 
-# noise floats per evaluation chunk (512 KB); a chunk holds at least one row
+# floats per row chunk of _row_chunks (512 KB); a chunk holds at least one row
 _CHUNK_FLOATS = 1 << 16
 
 
@@ -125,6 +125,13 @@ def analytic_risk(
     return RiskReport(std_risk=std, adv_risk=adv, method="analytic")
 
 
+def _row_chunks(count: int, d: int):
+    """Yield the slices that cut ``count`` rows of d floats into chunks of _CHUNK_FLOATS."""
+    step = max(1, _CHUNK_FLOATS // d)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
 def _stream_eval_rows(spec: MixtureSpec, m: int, seed: int, consume) -> np.ndarray:
     """Draw m evaluation samples in row chunks; return their observed labels.
 
@@ -137,13 +144,12 @@ def _stream_eval_rows(spec: MixtureSpec, m: int, seed: int, consume) -> np.ndarr
     """
     rng = keyed_rng(seed, STREAM_EVAL)
     clean = np.where(rng.integers(0, 2, size=m) == 0, 1, -1).astype(np.int64)
-    step = max(1, _CHUNK_FLOATS // spec.d)
     gaussian = spec.noise_dist == "gaussian"
-    buf = np.empty(min(step, m) * spec.d) if gaussian else None
-    for lo in range(0, m, step):
-        rows = slice(lo, min(lo + step, m))
-        size = (rows.stop - lo) * spec.d
-        if gaussian:  # the values of _draw_noise, without a fresh array
+    buf = None
+    for rows in _row_chunks(m, spec.d):
+        size = (rows.stop - rows.start) * spec.d
+        if gaussian:  # the values of _draw_noise, in one buffer the first chunk sizes
+            buf = np.empty(size) if buf is None else buf
             xi = buf[:size]
             rng.standard_normal(out=xi)
         else:

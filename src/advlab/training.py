@@ -62,7 +62,7 @@ import numpy as np
 from .data import write_csv
 from .margins import adversarial_margin
 from .norms import _SUMSQ_MIN, PerturbationModel, lp_norm, norm_subgradient
-from .risk import _CHUNK_FLOATS
+from .risk import _row_chunks
 
 __all__ = [
     "STEP_MODES",
@@ -155,20 +155,19 @@ class _Snapshots(Sequence):
             return x @ self._rows
 
     def blocks(self):
-        """Yield (first index, rows of theta) in blocks of at most _CHUNK_FLOATS floats.
+        """Yield (first index, rows of theta) in the row chunks of ``risk._row_chunks``.
 
         On the row-space path a block is one product of its coefficients
         with Z, which agrees with the per-entry reads to rounding (about
         1e-15 relative); on the theta path its rows are the stored arrays.
         """
         d = self._iterates[0].size if self._rows is None else self._rows.shape[1]
-        step = max(1, _CHUNK_FLOATS // d)
-        for start in range(0, len(self), step):
-            xs = self._iterates[start : start + step]
+        for rows in _row_chunks(len(self), d):
+            xs = self._iterates[rows]
             if self._rows is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # as in __getitem__
                     xs = np.array(xs) @ self._rows
-            yield start, xs
+            yield rows.start, xs
 
 
 @dataclass

@@ -1,11 +1,31 @@
 """Reference quantities shared by several test modules."""
 
+import math
+
 import numpy as np
 
-from advlab.data import STREAM_EVAL, _draw_noise, keyed_rng
+from advlab.data import STREAM_EVAL, Dataset, _draw_noise, keyed_rng
 from advlab.network import _pgd_attack_batch
 from advlab.risk import RiskReport
 from advlab.training import _log_losses
+
+
+def _dataset(features, labels) -> Dataset:
+    """A sample given by its rows and labels, with no label noise and no spec."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    return Dataset(
+        features=features,
+        labels=labels,
+        clean_labels=labels.copy(),
+        noise_indices=np.zeros(0, dtype=int),
+        spec=None,
+    )
+
+
+def _phi(x: float) -> float:
+    """The standard normal cdf via erfc, independent of the implementation's route."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _log_exp_loss(margins: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
+from advlab.data import MixtureSpec, generate, mu_from_scaling
 from advlab.lemmas import LEMMA_IDS, run_seed_batch
 from advlab.margins import adversarial_margin, standard_margin
 from advlab.network import (
@@ -44,6 +44,7 @@ from advlab.training import (
     adversarial_loss_gradient,
     train,
 )
+from oracles import _dataset
 
 
 def _check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -51,18 +52,6 @@ def _check(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"criterion {num:02d} {name}: {status} [{detail}]"
     print(line)
     assert ok, line
-
-
-def _dataset(features, labels) -> Dataset:
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    return Dataset(
-        features=features,
-        labels=labels,
-        clean_labels=labels.copy(),
-        noise_indices=np.zeros(0, dtype=int),
-        spec=None,
-    )
 
 
 def _row_norms(u: np.ndarray, p: float) -> np.ndarray:

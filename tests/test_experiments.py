@@ -18,10 +18,7 @@ from advlab.experiments import (
     load_config_file,
     run_figure,
 )
-
-
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+from oracles import _phi
 
 
 # --------------------------------------------------------------------- config

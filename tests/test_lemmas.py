@@ -21,7 +21,8 @@ from advlab.lemmas import (
     save_reports_csv,
 )
 from advlab.norms import PerturbationModel, norm_subgradient
-from advlab.training import TrainConfig, train
+from advlab.training import TrainConfig, TrainingDiverged, train
+from oracles import _dataset
 
 
 def _mixture_run(d=800, n=12, r=0.3, eta=0.1, seed=0, eps=0.05, T=150, p=2.0, **train_kw):
@@ -144,6 +145,32 @@ def test_descent_check_compares_log_losses_once_the_loss_overflows():
     assert rep.measured_constants["worst_increase"] == rec.log_losses[1] - rec.log_losses[0]
     assert rep.measured_constants["worst_increase"] == pytest.approx(800.0 - math.log(2.0))
     assert rep.worst_iteration == 0
+    assert not rep.passed
+
+
+def test_descent_check_skips_a_diverged_records_nan_steps():
+    # the first step makes the loss +inf (log-losses 0.693 -> 8000) and the
+    # rest of the record is nan; the values are those of a per-step loop
+    ds = _dataset([[1.0, 0.0], [-0.9, 0.1]], [1.0, 1.0])
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, TrainConfig(model=PerturbationModel(2.0, 0.0), alpha=1e5, T=5))
+    rec = exc.value.record
+    assert rec.losses[1] == math.inf and np.all(np.isnan(rec.losses[2:]))
+    rep = lemmas._check_descent(rec)
+    assert rep.worst_iteration == 0
+    assert rep.measured_constants["worst_increase"] == 7999.306852819438
+    assert rep.measured_constants["first_loss_over_n"] == math.inf
+    assert not rep.passed
+    # with every step nan there is no step to compare
+    nans = np.full(rec.T, math.nan)
+    rec = dataclasses.replace(
+        rec,
+        losses=np.concatenate([rec.losses[:1], nans]),
+        log_losses=np.concatenate([rec.log_losses[:1], nans]),
+    )
+    rep = lemmas._check_descent(rec)
+    assert rep.worst_iteration == -1
+    assert rep.measured_constants["worst_increase"] == -math.inf
     assert not rep.passed
 
 

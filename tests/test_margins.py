@@ -10,20 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
+from advlab.data import MixtureSpec, generate, mu_from_scaling
 from advlab.margins import MarginResult, adversarial_margin, standard_margin
 from advlab.norms import PerturbationModel, dual_exponent, lp_norm
-
-
-def _dataset(feats, labels):
-    labels = np.asarray(labels, dtype=float)
-    return Dataset(
-        features=np.asarray(feats, dtype=float),
-        labels=labels,
-        clean_labels=labels.copy(),
-        noise_indices=np.array([], dtype=int),
-        spec=None,
-    )
+from oracles import _dataset
 
 
 def _vec_norms(dirs, q):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from advlab import network
-from advlab.data import Dataset, MixtureSpec, generate, mu_from_scaling
+from advlab.data import MixtureSpec, generate, mu_from_scaling
 from advlab.network import (
     PgdConfig,
     TwoLayerNet,
@@ -26,19 +26,7 @@ from advlab.norms import (
     project_onto_ball,
 )
 from advlab.risk import _CHUNK_FLOATS
-from oracles import _block_nn_evaluation, _log_exp_loss
-
-
-def _dataset(features, labels) -> Dataset:
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    return Dataset(
-        features=features,
-        labels=labels,
-        clean_labels=labels.copy(),
-        noise_indices=np.zeros(0, dtype=int),
-        spec=None,
-    )
+from oracles import _block_nn_evaluation, _dataset, _log_exp_loss
 
 
 def _linear_net(a: np.ndarray) -> TwoLayerNet:

@@ -8,6 +8,7 @@ import pytest
 
 from advlab.norms import (
     PerturbationModel,
+    _threshold,
     dual_exponent,
     lp_norm,
     norm_subgradient,
@@ -41,6 +42,22 @@ def test_dual_exponent_rejects_bad_input():
     for bad in [0.0, 0.99, -2.0, math.nan]:
         with pytest.raises(ValueError):
             dual_exponent(bad)
+
+
+@pytest.mark.parametrize("bad", [0.99, -2.0, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        dual_exponent,
+        lambda p: lp_norm(np.ones(3), p),
+        lambda p: norm_subgradient_rows(np.ones((2, 3)), p),
+        lambda p: project_onto_ball(np.ones(3), p, 1.0),
+    ],
+    ids=["dual_exponent", "lp_norm", "norm_subgradient_rows", "project_onto_ball"],
+)
+def test_norm_exponent_is_checked_everywhere(call, bad):
+    with pytest.raises(ValueError, match=r"norm exponent must lie in \[1, inf\]"):
+        call(bad)
 
 
 def test_perturbation_model_validation():
@@ -310,3 +327,56 @@ def test_project_onto_ball_feasible_and_closest():
         feas = _random_feasible(rng, d, p, radius, 500)
         dists = np.linalg.norm(feas - v, axis=1)
         assert np.linalg.norm(w - v) <= dists.min() + 1e-7
+
+
+def _threshold_rows():
+    """Random rows, rows with ties and constant rows, n = 1 to 50, scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+        for n in (1, 2, 3, 7, 50):
+            yield rng.normal(size=n) * scale
+            yield rng.integers(-2, 3, size=n) * scale
+            yield np.full(n, 0.7 * scale)
+            yield np.full(n, -0.7 * scale)
+
+
+def _sum_tol(v, radius):
+    # v - tau cancels down to the radius: n roundings at the scale of max(|v|, radius);
+    # these rows measured at most 1.3 of this unit
+    return 4.0 * v.size * np.spacing(max(float(np.abs(v).max()), radius))
+
+
+def test_simplex_step_meets_kkt():
+    """max(v - tau, 0) with tau = _threshold(v, 1), the dual solver's simplex step."""
+    for v in _threshold_rows():
+        tau = float(_threshold(v, 1.0)[0])
+        x = np.maximum(v - tau, 0.0)
+        tol = _sum_tol(v, 1.0)
+        assert x.min() >= 0.0
+        assert abs(x.sum() - 1.0) <= tol
+        on = x > 0.0
+        assert on.any()
+        assert np.abs(v[on] - x[on] - tau).max() <= tol
+        assert np.all(v[~on] <= tau + tol)
+
+
+def test_l1_projection_lands_on_the_sphere_or_returns_the_row():
+    radius = 0.5
+    for v in _threshold_rows():
+        w = project_onto_ball(v, 1.0, radius)
+        if np.abs(v).sum() > radius:
+            assert abs(np.abs(w).sum() - radius) <= _sum_tol(v, radius)
+            assert np.all(w * v >= 0.0)
+        else:
+            np.testing.assert_array_equal(w, v)
+
+
+def test_threshold_batch_is_bitwise_its_rows():
+    rows = [v for v in _threshold_rows() if v.size == 7]
+    batch = np.array(rows)
+    np.testing.assert_array_equal(
+        _threshold(batch, 1.0), np.array([_threshold(v, 1.0) for v in rows])
+    )
+    np.testing.assert_array_equal(
+        project_onto_ball(batch, 1.0, 0.5), np.array([project_onto_ball(v, 1.0, 0.5) for v in rows])
+    )

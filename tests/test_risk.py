@@ -20,12 +20,7 @@ from advlab.risk import (
     monte_carlo_risk,
     normal_cdf,
 )
-from oracles import _one_block_draw
-
-
-def _phi(x: float) -> float:
-    # standard normal cdf via erfc, independent of the implementation's route
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+from oracles import _one_block_draw, _phi
 
 
 def empirical_risks(theta, feats, labels, model) -> tuple[float, float]:

@@ -22,19 +22,7 @@ from advlab.training import (
     save_record_csv,
     train,
 )
-from oracles import _log_exp_loss
-
-
-def _dataset(features, labels) -> Dataset:
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    return Dataset(
-        features=features,
-        labels=labels,
-        clean_labels=labels.copy(),
-        noise_indices=np.zeros(0, dtype=int),
-        spec=None,
-    )
+from oracles import _dataset, _log_exp_loss
 
 
 def _random_dataset(rng, n, d) -> Dataset:
